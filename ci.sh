@@ -51,6 +51,7 @@ grep -q '"fabric.shards"' metrics_fabric.json
 grep -q '"fabric.retries"' metrics_fabric.json
 grep -q '"fabric.recoveries"' metrics_fabric.json
 grep -q '"fabric.lost"' metrics_fabric.json
+grep -q '"worker.oracle.cache.misses"' metrics_fabric.json
 
 echo "==> snapshot smoke: write, reopen, byte-identical digest"
 # First run executes the campaign and persists the merged store as a

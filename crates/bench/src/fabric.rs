@@ -135,11 +135,18 @@ pub fn worker_main() -> i32 {
     }
 }
 
-/// What one worker mode measures: its pair universe and the shard
-/// campaign producing payload lines plus a report.
+/// What one worker mode measures: its pair universe and schedule, and the
+/// shard campaign producing payload lines plus a report.
 trait WorkerMode {
+    /// Whether a work unit — what a [`WorkerFault::Kill`] counts — is a
+    /// schedule instant rather than a pair: the unit the mode's
+    /// checkpointed campaign archives one block per.
+    const UNITS_ARE_INSTANTS: bool;
     /// The full (unsharded) pair list of this mode's campaign.
     fn pairs(&self, scenario: &Scenario) -> Vec<(ClusterId, ClusterId)>;
+    /// The schedule a shard runs under (must match what the merge side
+    /// assumes when synthesizing lost slots).
+    fn config(&self, scenario: &Scenario) -> CampaignConfig;
     /// Runs the shard campaign over `my_pairs` and returns the payload
     /// lines (archived records or serialized sink states) and the report.
     fn run(
@@ -153,8 +160,14 @@ trait WorkerMode {
 struct LongTermMode;
 
 impl WorkerMode for LongTermMode {
+    const UNITS_ARE_INSTANTS: bool = true;
+
     fn pairs(&self, scenario: &Scenario) -> Vec<(ClusterId, ClusterId)> {
         longterm_pairs(scenario)
+    }
+
+    fn config(&self, scenario: &Scenario) -> CampaignConfig {
+        CampaignConfig::long_term(scenario.scale.days)
     }
 
     fn run(
@@ -184,8 +197,14 @@ impl WorkerMode for LongTermMode {
 struct PingMode;
 
 impl WorkerMode for PingMode {
+    const UNITS_ARE_INSTANTS: bool = false;
+
     fn pairs(&self, scenario: &Scenario) -> Vec<(ClusterId, ClusterId)> {
         ping_mesh(scenario).1
+    }
+
+    fn config(&self, scenario: &Scenario) -> CampaignConfig {
+        ping_mesh(scenario).0
     }
 
     fn run(
@@ -199,15 +218,6 @@ impl WorkerMode for PingMode {
         let (states, report) = campaign.sink(sink).run_ping(&scenario.net, my_pairs)?;
         let sink = PairProfileSink::for_config(&cfg);
         Ok((states.iter().map(|st| sink.save(st)).collect(), report))
-    }
-}
-
-/// The campaign config a mode's shard runs under (must match what the
-/// merge side assumes when synthesizing lost slots).
-fn mode_config(mode_env: &str, scenario: &Scenario) -> CampaignConfig {
-    match mode_env {
-        "ping" => ping_mesh(scenario).0,
-        _ => CampaignConfig::long_term(scenario.scale.days),
     }
 }
 
@@ -240,22 +250,32 @@ fn run_worker<M: WorkerMode>(assign: WorkerAssignment, mode: M) -> i32 {
     let all_pairs = mode.pairs(&scenario);
     let range = shard_range(all_pairs.len(), assign.shards, assign.shard);
     let mut my_pairs = all_pairs[range].to_vec();
+    let mut cfg = mode.config(&scenario);
+    let times = cfg.times();
+    let planned = if M::UNITS_ARE_INSTANTS { times.len() } else { my_pairs.len() };
 
-    let fate = faults.decide(assign.shard, assign.attempt, my_pairs.len());
+    let fate = faults.decide(assign.shard, assign.attempt, planned);
     let kill_at = match fate {
-        WorkerFault::Kill { after_units } => Some(after_units.min(my_pairs.len())),
+        WorkerFault::Kill { after_units } => Some(after_units.min(planned)),
         _ => None,
     };
     if let Some(k) = kill_at {
-        // A kill landing after pair k: measure (and checkpoint) exactly
-        // the first k pairs, then die without emitting results. The
-        // retry resumes those pairs from the checkpoint bit-identically.
-        my_pairs.truncate(k);
+        // A kill landing after unit k: measure (and checkpoint) exactly
+        // the first k units — schedule instants or pairs — then die
+        // without emitting results. The retry resumes those units from
+        // the checkpoint bit-identically.
+        if M::UNITS_ARE_INSTANTS {
+            cfg.end = times.get(k).copied().unwrap_or(cfg.end);
+        } else {
+            my_pairs.truncate(k);
+        }
     }
 
+    // The worker's routing and wire counters ride the METRICS frame as
+    // `worker.*` (netsim counts only under an installed global registry).
     let registry = Arc::new(s2s_obs::Registry::new());
-    let mode_env = std::env::var(ENV_MODE).unwrap_or_else(|_| "longterm".to_string());
-    let mut campaign = Campaign::new(mode_config(&mode_env, &scenario))
+    scenario.net.observe(&registry);
+    let mut campaign = Campaign::new(cfg)
         .faults(FaultProfile::from_env())
         .retry(RetryPolicy::default())
         .observe(Arc::clone(&registry));

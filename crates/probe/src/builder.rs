@@ -86,11 +86,12 @@ impl Campaign {
         self
     }
 
-    /// Checkpoints completed pairs to `path` and resumes from it on rerun.
+    /// Checkpoints completed work to `path` and resumes from it on rerun.
     /// The finished file and the accumulators are bit-identical to an
     /// uninterrupted run (see the module docs on `campaign` for why).
-    /// Traceroute campaigns archive record blocks; ping campaigns
-    /// (including [`Campaign::sink`] runs) archive serialized sink state.
+    /// Traceroute campaigns sweep the schedule instant by instant and
+    /// archive one record block per instant; ping campaigns (including
+    /// [`Campaign::sink`] runs) archive serialized sink state per pair.
     pub fn checkpoint(mut self, path: impl AsRef<Path>) -> Self {
         self.checkpoint = Some(path.as_ref().to_path_buf());
         self
@@ -281,7 +282,7 @@ impl Campaign {
             ("campaign.dropped_probes", report.dropped_probes),
             ("campaign.stuck_probes", report.stuck_probes),
             ("campaign.agent_down_slots", report.agent_down_slots),
-            ("campaign.resumed_pairs", report.resumed_pairs),
+            ("campaign.resumed_slots", report.resumed_slots),
             ("campaign.worker_panics", report.worker_panics),
             ("campaign.lost_slots", report.lost_slots),
         ] {
@@ -310,9 +311,9 @@ impl Campaign {
             reg.event(
                 "campaign.checkpoint_write",
                 format!(
-                    "checkpoint {} complete ({} pair(s) replayed from it)",
+                    "checkpoint {} complete ({} slot(s) replayed from it)",
                     path.display(),
-                    report.resumed_pairs
+                    report.resumed_slots
                 ),
             );
         }

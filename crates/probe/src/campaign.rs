@@ -356,8 +356,10 @@ pub struct CampaignReport {
     pub stuck_probes: usize,
     /// Slots skipped because the source agent was crashed.
     pub agent_down_slots: usize,
-    /// Pairs replayed from a checkpoint instead of being re-measured.
-    pub resumed_pairs: usize,
+    /// Slots replayed from a checkpoint instead of being re-measured
+    /// (never counted in `offered`): `offered + resumed_slots` is the
+    /// schedule's slot count.
+    pub resumed_slots: usize,
     /// Operator time spent in retry backoffs, ms.
     pub backoff_ms: f64,
     /// Operator time lost waiting out stuck-probe deadlines, ms.
@@ -386,7 +388,7 @@ impl CampaignReport {
         self.dropped_probes += other.dropped_probes;
         self.stuck_probes += other.stuck_probes;
         self.agent_down_slots += other.agent_down_slots;
-        self.resumed_pairs += other.resumed_pairs;
+        self.resumed_slots += other.resumed_slots;
         self.backoff_ms += other.backoff_ms;
         self.deadline_ms_lost += other.deadline_ms_lost;
         self.worker_panics += other.worker_panics;
@@ -418,7 +420,7 @@ impl CampaignReport {
             self.dropped_probes,
             self.stuck_probes,
             self.agent_down_slots,
-            self.resumed_pairs,
+            self.resumed_slots,
             self.backoff_ms,
             self.deadline_ms_lost,
             self.worker_panics,
@@ -449,7 +451,7 @@ impl CampaignReport {
             dropped_probes: num(field("dropped_probes")?, "dropped_probes")?,
             stuck_probes: num(field("stuck_probes")?, "stuck_probes")?,
             agent_down_slots: num(field("agent_down_slots")?, "agent_down_slots")?,
-            resumed_pairs: num(field("resumed_pairs")?, "resumed_pairs")?,
+            resumed_slots: num(field("resumed_slots")?, "resumed_slots")?,
             backoff_ms: num(field("backoff_ms")?, "backoff_ms")?,
             deadline_ms_lost: num(field("deadline_ms_lost")?, "deadline_ms_lost")?,
             worker_panics: num(field("worker_panics")?, "worker_panics")?,
@@ -713,10 +715,10 @@ where
 }
 
 /// The single-epoch execution core behind the always-on service (see
-/// [`Campaign::run_traceroute_epoch`] for the public front door): resolves
-/// every (pair, protocol) slot of **one** schedule instant, in the
-/// reference executor's slot order (pair-major, protocol in
-/// `cfg.protocols` order).
+/// [`Campaign::run_traceroute_epoch`]) and the checkpointed executor
+/// ([`traceroute_resumable_impl`]): resolves every (pair, protocol) slot
+/// of **one** schedule instant, in the reference executor's slot order
+/// (pair-major, protocol in `cfg.protocols` order).
 ///
 /// Fault decisions are keyed on the *global* sample index `epoch` — the
 /// same key every batch core uses — so driving the schedule epoch by
@@ -988,10 +990,10 @@ fn empty_sink_states<K: StreamSink>(
 /// payload: per pair, `B|<pair_index>|<n_states>`, one
 /// [`StreamSink::save`] line per protocol, then `E|<pair_index>`. On
 /// resume, complete leading blocks are [`StreamSink::load`]ed instead of
-/// re-measured (the per-probe report counters of replayed pairs are not
-/// reconstructed, mirroring the traceroute path); a partial trailing block
-/// is discarded. Because fault decisions are content-keyed and
-/// `save`/`load` round-trip bit-exactly, the finished file and the
+/// re-measured (each books its instants × protocols as `resumed_slots`;
+/// its per-probe report counters are not reconstructed); a partial
+/// trailing block is discarded. Because fault decisions are content-keyed
+/// and `save`/`load` round-trip bit-exactly, the finished file and the
 /// returned states match an uninterrupted run's.
 pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     net: &Network,
@@ -1007,7 +1009,8 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     let injector = FaultInjector::new(*profile);
     let mut report = CampaignReport::default();
 
-    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, states_per_pair)?;
+    let (replayable, keep_bytes) =
+        load_checkpoint_prefix(checkpoint, states_per_pair, |_, lines| Some(lines))?;
     let done_pairs = replayable.len().min(pairs.len());
     let file = std::fs::OpenOptions::new()
         .create(true)
@@ -1031,7 +1034,7 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
             })?;
             accs.push(st);
         }
-        report.resumed_pairs += 1;
+        report.resumed_slots += states_per_pair * times.len();
     }
 
     // Measure the rest in batches of `threads` pairs, blocks appended in
@@ -1102,24 +1105,35 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
 // ---------------------------------------------------------------------------
 
 /// The checkpoint/resume execution core (see [`Campaign::checkpoint`] for
-/// the public front door): measures pairs in index order, appending each
-/// completed pair's records to `checkpoint` as a framed block, and on
-/// start replays whatever complete blocks the file already holds instead
-/// of re-measuring those pairs.
+/// the public front door): sweeps the schedule one instant at a time.
+/// Each instant's slots are measured across pair chunks on `cfg.threads`
+/// by [`traceroute_epoch_impl`], then appended to `checkpoint` as one
+/// framed block in slot order (pair-major, protocol-minor) and flushed. On
+/// start, the complete leading blocks the file already holds are replayed
+/// instead of re-measured.
+///
+/// Sweeping by instant, not by pair, is what keeps routing cheap: a block
+/// needs only the availability configurations live at its instant, so
+/// every (configuration, AS) route table is computed once, not once per
+/// pair as the oracle's small config LRU cycles through the schedule.
 ///
 /// **Bit-identical dataset guarantee.** Kill this process at any instant
 /// and rerun with the same arguments: the finished checkpoint file is
 /// byte-identical to the one an uninterrupted run writes, and the returned
 /// accumulators are equal. Three properties make that true: fault
 /// decisions are content-keyed (never order- or wallclock-dependent);
-/// blocks are written in pair order and a partial trailing block is
+/// blocks are written in schedule order and a partial trailing block is
 /// discarded on resume; and *every* record — fresh or replayed — is folded
-/// through the archive line format, so a replayed pair folds exactly the
-/// bytes a fresh pair would have archived.
+/// through the archive line format, so a replayed slot folds exactly the
+/// bytes a fresh slot would have archived. A kill loses at most one
+/// instant.
 ///
-/// The checkpoint format rides the dataset line format: per pair,
-/// `B|<pair_index>|<n_records>`, the records as `T|…` lines, then
-/// `E|<pair_index>`.
+/// The checkpoint format rides the dataset line format: per instant,
+/// `B|<instant>|<n_slots>`, the records as `T|…` lines, then
+/// `E|<instant>`. Replay checks every record against its slot's (src,
+/// dst, protocol, instant); the first block that fails — written for
+/// another pair list or schedule — ends the accepted prefix and is
+/// truncated and re-measured.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traceroute_resumable_impl<A, O, I, S>(
     net: &Network,
@@ -1138,21 +1152,31 @@ where
     I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
     S: Fn(&mut A, TracerouteRecord) + Sync,
 {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let records_per_pair = times.len() * cfg.protocols.len();
+    let times = cfg.times();
+    let n_protos = cfg.protocols.len();
+    let slots = pairs.len() * n_protos;
     let injector = FaultInjector::new(*profile);
     let mut report = CampaignReport::default();
 
-    // Load the complete leading blocks; truncate anything after them (a
-    // partial block from a mid-write kill).
-    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, records_per_pair)?;
-    let done_pairs = replayable.len().min(pairs.len());
+    // Load the complete leading blocks whose records all sit in their own
+    // slots; truncate anything after them (a partial block from a
+    // mid-write kill, or a block from some other campaign).
+    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, slots, |ti, lines| {
+        let t = *times.get(ti)?;
+        let slot_records = lines.iter().enumerate().map(|(si, line)| {
+            let rec = traceroute_from_line(line, si + 1).ok()?;
+            let (src, dst) = pairs[si / n_protos];
+            let slot = (src, dst, cfg.protocols[si % n_protos], t);
+            ((rec.src, rec.dst, rec.proto, rec.t) == slot).then_some(rec)
+        });
+        slot_records.collect::<Option<Vec<_>>>()
+    })?;
     let file = std::fs::OpenOptions::new()
         .create(true)
         .write(true)
         .read(true)
         // Not truncated on open: the complete leading blocks are kept and
-        // set_len below discards only the partial tail.
+        // set_len below discards only the rejected tail.
         .truncate(false)
         .open(checkpoint)?;
     file.set_len(keep_bytes)?;
@@ -1160,112 +1184,80 @@ where
     use std::io::{Seek, SeekFrom, Write};
     out.seek(SeekFrom::End(0))?;
 
-    let mut accs: Vec<A> = Vec::with_capacity(pairs.len() * cfg.protocols.len());
+    let init = &init;
+    let mut accs: Vec<A> = pairs
+        .iter()
+        .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
+        .collect();
 
-    // Replay finished pairs through the same fold a fresh run uses.
-    for (pi, lines) in replayable.iter().take(done_pairs).enumerate() {
-        let (src, dst) = pairs[pi];
-        let mut pair_accs: Vec<A> =
-            cfg.protocols.iter().map(|&p| init(src, dst, p)).collect();
-        for (li, line) in lines.iter().enumerate() {
-            let rec = traceroute_from_line(line, li + 1).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("checkpoint block {pi}: {e}"),
-                )
-            })?;
-            let qi = cfg
-                .protocols
-                .iter()
-                .position(|&p| p == rec.proto)
-                .unwrap_or(0);
-            step(&mut pair_accs[qi], rec);
+    // Replay finished instants through the same fold a fresh run uses.
+    let done = replayable.len();
+    for records in replayable {
+        for (acc, rec) in accs.iter_mut().zip(records) {
+            step(acc, rec);
         }
-        accs.extend(pair_accs);
-        report.resumed_pairs += 1;
+        report.resumed_slots += slots;
     }
 
-    // Measure the rest in batches of `threads` pairs; blocks append in
-    // pair order after each batch so a kill loses at most one batch.
-    let threads = cfg.threads.max(1);
-    let remaining = &pairs[done_pairs..];
-    let (times_ref, opts_ref, init_ref, step_ref) = (&times, &opts_of, &init, &step);
-    for (bi, batch) in remaining.chunks(threads).enumerate() {
-        let batch_base = done_pairs + bi * threads;
-        let batch_results: Vec<(Vec<A>, Vec<String>, CampaignReport)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .iter()
-                    .map(|&(src, dst)| {
-                        let injector = &injector;
-                        scope.spawn(move || {
-                            let mut rep = CampaignReport::default();
-                            let mut pair_accs: Vec<A> = cfg
-                                .protocols
-                                .iter()
-                                .map(|&p| init_ref(src, dst, p))
-                                .collect();
-                            let mut lines = Vec::with_capacity(records_per_pair);
-                            for (ti, &t) in times_ref.iter().enumerate() {
-                                for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                                    let outcome = traceroute_slot(
-                                        net,
-                                        injector,
-                                        retry,
-                                        src,
-                                        dst,
-                                        proto,
-                                        t,
-                                        ti as u64,
-                                        opts_ref(t, proto),
-                                        &mut rep,
-                                    );
-                                    let rec = match outcome {
-                                        SlotOutcome::Record(rec) => rec,
-                                        SlotOutcome::Lost => lost_record(src, dst, proto, t),
-                                    };
-                                    let line = traceroute_to_line(&rec);
-                                    // Fold the archived form, not the live
-                                    // one: replay and fresh paths must fold
-                                    // identical bytes.
-                                    let archived = traceroute_from_line(&line, 0)
-                                        .expect("own format must round-trip");
-                                    step_ref(&mut pair_accs[qi], archived);
-                                    lines.push(line);
-                                }
-                            }
-                            (pair_accs, lines, rep)
-                        })
+    // Measure the rest one instant at a time, each instant's pair chunks
+    // in parallel; its block appends once every chunk is in.
+    let threads = cfg.threads.max(1).min(pairs.len().max(1));
+    let chunk = pairs.len().div_ceil(threads).max(1);
+    let (opts_of, step, injector) = (&opts_of, &step, &injector);
+    for (ti, &t) in times.iter().enumerate().skip(done) {
+        let results: Vec<(Vec<String>, CampaignReport)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = pairs
+                .chunks(chunk)
+                .zip(accs.chunks_mut(chunk * n_protos.max(1)))
+                .map(|(chunk_pairs, chunk_accs)| {
+                    scope.spawn(move || {
+                        let mut lines = Vec::with_capacity(chunk_accs.len());
+                        let rep = traceroute_epoch_impl(
+                            net, chunk_pairs, cfg, opts_of, injector, retry, ti, t,
+                            |slot, rec| {
+                                let line = traceroute_to_line(&rec);
+                                // Fold the archived form, not the live
+                                // one: replay and fresh paths must fold
+                                // identical bytes.
+                                let archived = traceroute_from_line(&line, 0)
+                                    .expect("own format must round-trip");
+                                step(&mut chunk_accs[slot], archived);
+                                lines.push(line);
+                            },
+                        );
+                        (lines, rep)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("resumable campaign worker panicked"))
-                    .collect()
-            });
-        for (off, (pair_accs, lines, rep)) in batch_results.into_iter().enumerate() {
-            let pair_index = batch_base + off;
-            report.merge(&rep);
-            writeln!(out, "B|{}|{}", pair_index, lines.len())?;
-            for line in &lines {
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("resumable campaign worker panicked"))
+                .collect()
+        });
+        writeln!(out, "B|{ti}|{slots}")?;
+        for (lines, rep) in &results {
+            report.merge(rep);
+            for line in lines {
                 writeln!(out, "{line}")?;
             }
-            writeln!(out, "E|{pair_index}")?;
-            accs.extend(pair_accs);
         }
+        writeln!(out, "E|{ti}")?;
         out.flush()?;
     }
     Ok((accs, report))
 }
 
-/// Reads the complete leading blocks of a checkpoint file. Returns the
-/// record lines of each complete pair block (in pair order) and the byte
-/// length of the accepted prefix; everything after — a torn block from a
-/// mid-write kill, or trailing garbage — is for the caller to truncate.
-fn load_checkpoint_prefix(
+/// Reads the complete leading blocks of a checkpoint file, passing each
+/// block's index and lines to `accept`. Returns what `accept` made of each
+/// block (in block order) and the byte length of the accepted prefix; the
+/// first block `accept` rejects ends the prefix, and everything from it on
+/// — a torn block from a mid-write kill, a foreign block, or trailing
+/// garbage — is for the caller to truncate.
+fn load_checkpoint_prefix<T>(
     path: &std::path::Path,
-    records_per_pair: usize,
-) -> std::io::Result<(Vec<Vec<String>>, u64)> {
+    lines_per_block: usize,
+    mut accept: impl FnMut(usize, Vec<String>) -> Option<T>,
+) -> std::io::Result<(Vec<T>, u64)> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1273,7 +1265,7 @@ fn load_checkpoint_prefix(
         }
         Err(e) => return Err(e),
     };
-    let mut blocks: Vec<Vec<String>> = Vec::new();
+    let mut blocks: Vec<T> = Vec::new();
     let mut accepted: u64 = 0;
     let mut lines = text.split_inclusive('\n');
     'blocks: while let Some(header) = lines.next() {
@@ -1284,21 +1276,21 @@ fn load_checkpoint_prefix(
         else {
             break;
         };
-        // Blocks are written in pair order; anything out of sequence is a
-        // torn or foreign tail.
+        // Blocks are written in order; anything out of sequence is a torn
+        // or foreign tail.
         if idx.parse::<usize>() != Ok(blocks.len()) {
             break;
         }
         let Ok(n) = n.parse::<usize>() else { break };
-        if n != records_per_pair {
-            break; // written under a different schedule — don't trust it
+        if n != lines_per_block {
+            break; // written under a different shape — don't trust it
         }
         let mut block_bytes = header.len() as u64;
-        let mut records = Vec::with_capacity(n);
+        let mut body = Vec::with_capacity(n);
         for _ in 0..n {
             let Some(line) = lines.next() else { break 'blocks };
             block_bytes += line.len() as u64;
-            records.push(line.trim_end().to_string());
+            body.push(line.trim_end().to_string());
         }
         let Some(footer) = lines.next() else { break };
         block_bytes += footer.len() as u64;
@@ -1309,8 +1301,9 @@ fn load_checkpoint_prefix(
         if !footer.ends_with('\n') {
             break;
         }
+        let Some(block) = accept(blocks.len(), body) else { break };
         accepted += block_bytes;
-        blocks.push(records);
+        blocks.push(block);
     }
     Ok((blocks, accepted))
 }
@@ -1404,7 +1397,7 @@ mod tests {
             dropped_probes: 9,
             stuck_probes: 2,
             agent_down_slots: 5,
-            resumed_pairs: 4,
+            resumed_slots: 4,
             backoff_ms: 1234.5678901,
             deadline_ms_lost: 0.1 + 0.2, // a value that would betray rounding
             worker_panics: 1,
@@ -1947,7 +1940,8 @@ mod tests {
         let full_path = tmp_path("ckpt_uninterrupted.txt");
         let (full_accs, full_report) = run(&full_path);
         let full_bytes = std::fs::read(&full_path).unwrap();
-        assert_eq!(full_report.resumed_pairs, 0);
+        assert_eq!(full_report.resumed_slots, 0);
+        let scheduled = pairs.len() * cfg.n_samples() * cfg.protocols.len();
 
         // Kill the campaign at several points, including mid-line, and
         // resume: the finished file must match the uninterrupted one.
@@ -1962,9 +1956,9 @@ mod tests {
             );
             assert_eq!(accs, full_accs, "kill at byte {cut}: accumulators must match");
             assert_eq!(
-                report.resumed_pairs + (report.offered / (4 * cfg.protocols.len())),
-                pairs.len(),
-                "kill at byte {cut}: every pair is either replayed or re-measured"
+                report.resumed_slots + report.offered,
+                scheduled,
+                "kill at byte {cut}: every slot is either replayed or re-measured"
             );
             let _ = std::fs::remove_file(&path);
         }
@@ -1972,7 +1966,7 @@ mod tests {
         // Resuming a finished checkpoint re-measures nothing.
         let (accs, report) = run(&full_path);
         assert_eq!(accs, full_accs);
-        assert_eq!(report.resumed_pairs, pairs.len());
+        assert_eq!(report.resumed_slots, scheduled);
         assert_eq!(report.offered, 0);
         assert_eq!(std::fs::read(&full_path).unwrap(), full_bytes);
         let _ = std::fs::remove_file(&full_path);
@@ -2004,6 +1998,7 @@ mod tests {
         let full_bytes = std::fs::read(&full_path).unwrap();
         assert_eq!(timeline_bits(&full), timeline_bits(&memory));
         assert_eq!(full_report, memory_report);
+        let scheduled = pairs.len() * cfg.n_samples() * cfg.protocols.len();
 
         for cut in [0usize, 1, full_bytes.len() / 3, full_bytes.len() - 5] {
             let path = tmp_path(&format!("ping_ckpt_cut_{cut}.txt"));
@@ -2015,14 +2010,14 @@ mod tests {
                 "kill at byte {cut}: resumed checkpoint must be bit-identical"
             );
             assert_eq!(timeline_bits(&resumed), timeline_bits(&memory));
-            assert!(report.resumed_pairs <= pairs.len());
+            assert_eq!(report.resumed_slots + report.offered, scheduled, "kill at byte {cut}");
             let _ = std::fs::remove_file(&path);
         }
 
         // Resuming a finished checkpoint re-measures nothing.
         let (replayed, report) = campaign(&full_path).run_ping(&net, &pairs).unwrap();
         assert_eq!(timeline_bits(&replayed), timeline_bits(&memory));
-        assert_eq!(report.resumed_pairs, pairs.len());
+        assert_eq!(report.resumed_slots, scheduled);
         assert_eq!(report.offered, 0);
         let _ = std::fs::remove_file(&full_path);
     }

@@ -13,6 +13,7 @@ use s2s_bench::fabric::{
     FabricCollection,
 };
 use s2s_bench::{Scale, Scenario};
+use s2s_probe::fabric::shard_range;
 use s2s_probe::{
     Campaign, CampaignConfig, FabricConfig, FaultProfile, PairProfileSink, RetryPolicy,
     StreamSink,
@@ -193,7 +194,7 @@ fn fabric_dataset_is_byte_identical_across_workers_and_crash_schedules() {
             let want_tl = s2s_core::Analysis::new(&store).timelines(&scenario.ip2asn);
             assert_eq!(a.data.timelines, want_tl, "seed {seed} {name}");
             assert_eq!(b.data.timelines, want_tl, "seed {seed} {name}");
-            // Replayed pairs book as resume accounting, not re-delivery,
+            // Replayed slots book as resume accounting, not re-delivery,
             // so reports aren't compared to the one-process run wholesale
             // — but the accounting identities must hold, and the kill
             // schedule must have actually resumed from a checkpoint.
@@ -208,10 +209,23 @@ fn fabric_dataset_is_byte_identical_across_workers_and_crash_schedules() {
                     "seed {seed} {name}: offered identity"
                 );
             }
-            assert!(
-                a.data.report.resumed_pairs >= 1,
+            // kill@0.1=1 and kill@1.1=2 checkpoint the first one and two
+            // schedule instants of their shards; the retries replay them.
+            let n = fabric::longterm_pairs(&scenario).len();
+            let camp = CampaignConfig::long_term(scenario.scale.days);
+            let per_instant = |shard| shard_range(n, 2, shard).len() * camp.protocols.len();
+            assert_eq!(
+                a.data.report.resumed_slots,
+                per_instant(0) + 2 * per_instant(1),
                 "seed {seed} {name}: kill schedule must resume from checkpoint"
             );
+            for rep in [&a.data.report, &b.data.report] {
+                assert_eq!(
+                    rep.offered + rep.resumed_slots,
+                    n * camp.n_samples() * camp.protocols.len(),
+                    "seed {seed} {name}: every slot is measured or replayed once"
+                );
+            }
         }
     }
 }

@@ -205,7 +205,11 @@ fn killed_ping_checkpoint_resumes_bit_identically() {
             "kill at byte {cut}: resumed checkpoint must be bit-identical"
         );
         assert_eq!(bits(&resumed), bits(&memory), "kill at byte {cut}");
-        assert!(report.resumed_pairs <= pairs.len());
+        assert_eq!(
+            report.offered + report.resumed_slots,
+            pairs.len() * cfg.n_samples() * cfg.protocols.len(),
+            "kill at byte {cut}: every slot is measured or replayed once"
+        );
         let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_file(&full_path);
