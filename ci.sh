@@ -16,6 +16,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark tests (perfbench builds the crates from source and pins digests)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
@@ -27,8 +30,6 @@ cargo clippy -p s2s-probe -p s2s-core -- -W clippy::unwrap_used 2>&1 |
     grep -A3 "unwrap_used\|used \`unwrap()\`" || true
 
 echo "==> small-scale reproduce smoke run (writes metrics.json)"
-# Uses the `run` subcommand spelling; later steps deliberately keep the
-# deprecated bare spelling so the alias path stays exercised.
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
     cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --metrics-json metrics.json |
     tee reproduce_smoke.txt
@@ -40,7 +41,7 @@ echo "==> fabric crash-matrix smoke: 4 workers, kill+crash schedule, byte-identi
 # dataset digest must match the 1-process smoke run's byte-for-byte.
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
     S2S_FABRIC_FAULT_PLAN='kill@1.1=1;exit@3.1' \
-    cargo run -q --release -p s2s-bench --bin reproduce -- table1 --workers 4 \
+    cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --workers 4 \
     --metrics-json metrics_fabric.json |
     tee reproduce_fabric.txt
 one_digest=$(grep 'long-term dataset digest:' reproduce_smoke.txt)
@@ -60,10 +61,10 @@ echo "==> snapshot smoke: write, reopen, byte-identical digest"
 # grep pins that the reopen path actually engaged (no silent re-run).
 rm -f smoke.snap
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
-    cargo run -q --release -p s2s-bench --bin reproduce -- table1 --snapshot smoke.snap |
+    cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --snapshot smoke.snap |
     tee reproduce_snapwrite.txt
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
-    cargo run -q --release -p s2s-bench --bin reproduce -- table1 --snapshot smoke.snap \
+    cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --snapshot smoke.snap \
     --metrics-json metrics_snapshot.json |
     tee reproduce_snapreopen.txt
 write_digest=$(grep 'long-term dataset digest:' reproduce_snapwrite.txt)
@@ -85,11 +86,11 @@ echo "==> multi-shard streaming smoke: fabric shard dir, streamed absorb, byte-i
 rm -rf smoke_shards
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
     S2S_SNAPSHOT_DIR=smoke_shards \
-    cargo run -q --release -p s2s-bench --bin reproduce -- table1 --workers 2 |
+    cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --workers 2 |
     tee reproduce_sharddir.txt
 S2S_CLUSTERS=16 S2S_DAYS=20 S2S_PAIRS=24 S2S_PING_PAIRS=20 S2S_CONG_PAIRS=8 \
     S2S_SNAPSHOT_BUDGET=97 \
-    cargo run -q --release -p s2s-bench --bin reproduce -- table1 --snapshot smoke_shards |
+    cargo run -q --release -p s2s-bench --bin reproduce -- run table1 --snapshot smoke_shards |
     tee reproduce_shardstream.txt
 sharddir_digest=$(grep 'long-term dataset digest:' reproduce_sharddir.txt)
 stream_digest=$(grep 'long-term dataset digest:' reproduce_shardstream.txt)

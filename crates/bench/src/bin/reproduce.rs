@@ -7,8 +7,8 @@
 //! cargo run -p s2s-bench --release --bin reproduce -- serve         # the daemon
 //! ```
 //!
-//! Subcommands (`s2s_bench::cli` is the typed parser; the pre-subcommand
-//! spellings still work with a stderr deprecation note):
+//! Subcommands (`s2s_bench::cli` is the typed parser; a plain `reproduce`
+//! with no arguments is `run`):
 //!
 //! * `run [ids…] [flags]` — batch reproduction. Experiment ids: table1,
 //!   fig1, fig2a, fig2b, fig3a, fig3b, fig4, fig5, fig6, fig7, sec51,
@@ -178,7 +178,7 @@ fn metrics_tail(registry: &Arc<s2s_obs::Registry>, metrics_json: Option<&str>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match cli::parse(&args) {
+    let command = match cli::parse(&args) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
@@ -187,16 +187,13 @@ fn main() {
     };
     // Fabric worker mode: measure the assigned shard, speak the framed
     // protocol on stdout, exit. Dispatched before anything can print.
-    if parsed.command == cli::Command::Worker {
+    if command == cli::Command::Worker {
         std::process::exit(fabric::worker_main());
-    }
-    for note in &parsed.deprecations {
-        eprintln!("{note}");
     }
     // Typo guard: one stderr line for any S2S_* variable no layer
     // recognizes, before it can silently configure nothing.
     s2s_probe::env::warn_unknown_knobs();
-    match parsed.command {
+    match command {
         cli::Command::Worker => unreachable!("dispatched above"),
         cli::Command::PrintConfig => print_config(),
         cli::Command::Snapshot(path) => snapshot_main(&path),
@@ -297,10 +294,6 @@ fn run_main(run: cli::RunArgs) {
         // Must take effect before any knob is resolved, so this happens
         // before config printing or world building.
         std::env::set_var("S2S_THREADS", n.to_string());
-    }
-    if run.print_config {
-        print_config();
-        return;
     }
     let workers = run.workers.unwrap_or_else(s2s_probe::env::fabric_workers);
     let snapshot_path = run.snapshot.or_else(s2s_probe::env::snapshot_path);

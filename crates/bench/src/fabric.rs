@@ -80,7 +80,7 @@ pub fn ping_mesh(scenario: &Scenario) -> (CampaignConfig, Vec<(ClusterId, Cluste
 }
 
 /// FNV-64 digest over a store's records in archived line form — the
-/// byte-identity fingerprint `reproduce --workers` prints and the CI
+/// byte-identity fingerprint `reproduce run --workers` prints and the CI
 /// crash matrix compares against the one-process run. Line form (not
 /// arena bytes) so the fingerprint pins the observable record sequence,
 /// independent of intern-table layout. Streams each record's line through

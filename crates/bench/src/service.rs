@@ -62,7 +62,7 @@ pub fn service_query_budget() -> usize {
     s2s_types::env::var_usize_at_least("S2S_SERVICE_QUERY_BUDGET", 4096, 1)
 }
 
-/// The service knobs, resolved for `reproduce --print-config` — they live
+/// The service knobs, resolved for `reproduce print-config` — they live
 /// here (not `s2s_probe::env`) because their defaults are service policy,
 /// not measurement-plane policy.
 pub fn service_knobs() -> Vec<ResolvedKnob> {

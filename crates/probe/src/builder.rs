@@ -1,10 +1,13 @@
 //! The one front door for campaigns: [`Campaign`].
 //!
-//! Every campaign — plain or fault-injected, batched-parallel or
+//! Every campaign — plain or fault-injected, parallel or
 //! sequential-reference, in-memory or checkpoint/resumed — is launched by
-//! building a [`Campaign`] and calling one of its `run_*` methods. The
-//! seven free `run_*_campaign*` functions that predate it survive as
-//! `#[deprecated]` shims over this type.
+//! building a [`Campaign`] and calling one of its `run_*` methods. A
+//! traceroute campaign runs through one executor, in memory or
+//! checkpointed: each pair chunk's worker sweeps the schedule instant by
+//! instant (see the `campaign` module docs). A ping campaign folds every
+//! sample through a [`StreamSink`]: [`TimelineSink`] for
+//! [`Campaign::run_ping`], the caller's sink for [`Campaign::sink`] runs.
 //!
 //! ```no_run
 //! # use s2s_probe::{Campaign, CampaignConfig, FaultProfile, RetryPolicy};
@@ -23,17 +26,17 @@
 //! The builder always routes through the fault-aware execution cores: with
 //! no [`Campaign::faults`] call the profile is the all-zero default, under
 //! which the fault plane provably changes nothing (the internal zero-fault
-//! equivalence tests pin the accumulators byte-for-byte against the plain
-//! runners). That means every run returns a real [`CampaignReport`] — no
-//! variant-specific report synthesis.
+//! equivalence tests pin the accumulators byte-for-byte against plain
+//! sequential loops). That means every run returns a real
+//! [`CampaignReport`] — no variant-specific report synthesis.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::campaign::{
-    ping_faulty_impl, ping_sink_impl, ping_sink_resumable_impl, traceroute_epoch_impl,
-    traceroute_faulty_impl, traceroute_faulty_reference_impl, traceroute_resumable_impl,
-    CampaignConfig, CampaignReport, PingTimeline, RetryPolicy,
+    ping_sink_impl, ping_sink_resumable_impl, traceroute_epoch_impl,
+    traceroute_faulty_reference_impl, traceroute_sweep_impl, CampaignConfig, CampaignReport,
+    PingTimeline, RetryPolicy,
 };
 use crate::faults::{FaultInjector, FaultProfile};
 use crate::records::TracerouteRecord;
@@ -88,10 +91,13 @@ impl Campaign {
 
     /// Checkpoints completed work to `path` and resumes from it on rerun.
     /// The finished file and the accumulators are bit-identical to an
-    /// uninterrupted run (see the module docs on `campaign` for why).
-    /// Traceroute campaigns sweep the schedule instant by instant and
-    /// archive one record block per instant; ping campaigns (including
-    /// [`Campaign::sink`] runs) archive serialized sink state per pair.
+    /// uninterrupted run's. Traceroute campaigns run the same
+    /// instant-by-instant sweep as in memory and append one record block
+    /// per schedule instant, once every pair chunk has measured it; ping
+    /// campaigns (including [`Campaign::sink`] runs) archive serialized
+    /// sink state per pair. Replay trusts only leading blocks whose records
+    /// or states sit in their own slots; the rest of the file is
+    /// re-measured.
     pub fn checkpoint(mut self, path: impl AsRef<Path>) -> Self {
         self.checkpoint = Some(path.as_ref().to_path_buf());
         self
@@ -114,10 +120,10 @@ impl Campaign {
         self
     }
 
-    /// Uses the sequential, unbatched reference executor: one thread,
-    /// time-outer pair-inner loops, no epoch batching — the seed
-    /// implementation's exact execution order. The validation baseline
-    /// the batched parallel executor must match byte for byte.
+    /// Uses the sequential reference executor: one thread, time-outer
+    /// pair-inner loops over all pairs — the seed implementation's exact
+    /// execution order. The validation baseline the chunked parallel sweep
+    /// must match byte for byte. Ignored when a checkpoint is set.
     pub fn reference(mut self) -> Self {
         self.reference = true;
         self
@@ -162,18 +168,22 @@ impl Campaign {
         I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
         S: Fn(&mut A, TracerouteRecord) + Sync,
     {
-        let result = if let Some(path) = &self.checkpoint {
-            traceroute_resumable_impl(
-                net, pairs, &self.cfg, opts_of, &self.profile, &self.retry, path, init, step,
-            )
-        } else if self.reference {
+        let result = if self.reference && self.checkpoint.is_none() {
             Ok(traceroute_faulty_reference_impl(
                 net, pairs, &self.cfg, opts_of, &self.profile, &self.retry, init, step,
             ))
         } else {
-            Ok(traceroute_faulty_impl(
-                net, pairs, &self.cfg, opts_of, &self.profile, &self.retry, init, step,
-            ))
+            traceroute_sweep_impl(
+                net,
+                pairs,
+                &self.cfg,
+                opts_of,
+                &self.profile,
+                &self.retry,
+                self.checkpoint.as_deref(),
+                init,
+                step,
+            )
         };
         if let Ok((_, report)) = &result {
             self.publish(report);
@@ -219,35 +229,43 @@ impl Campaign {
 
     /// Runs a ping campaign, returning a dense timeline per
     /// (pair, protocol): one slot per scheduled instant, `NaN` for lost
-    /// samples. With [`Campaign::checkpoint`] set, the run folds through
-    /// the [`TimelineSink`] resumable executor: completed pairs are
-    /// archived as serialized timeline state and replayed on rerun, with
-    /// the same bit-identical-resume guarantee as traceroute campaigns.
+    /// samples. The run folds through [`TimelineSink`], so with
+    /// [`Campaign::checkpoint`] set completed pairs are archived as
+    /// serialized timeline state and replayed on rerun, with the same
+    /// bit-identical-resume guarantee as traceroute campaigns.
     pub fn run_ping(
         &self,
         net: &Network,
         pairs: &[(ClusterId, ClusterId)],
     ) -> std::io::Result<(Vec<PingTimeline>, CampaignReport)> {
-        if let Some(path) = &self.checkpoint {
-            let sink = TimelineSink::for_config(&self.cfg);
-            let result = ping_sink_resumable_impl(
-                net, pairs, &self.cfg, &self.profile, &self.retry, path, &sink,
-            );
-            if let Ok((_, report)) = &result {
-                self.publish(report);
-            }
-            return result;
+        let sink = TimelineSink::for_config(&self.cfg);
+        let result = self.run_ping_sink(net, pairs, &sink);
+        if let Ok((_, report)) = &result {
+            self.publish(report);
         }
-        let (timelines, report) = if self.reference {
+        result
+    }
+
+    /// Runs a ping campaign through `sink`: the resumable executor with a
+    /// checkpoint set, else the parallel one (on one thread in reference
+    /// mode). Publishes nothing.
+    fn run_ping_sink<K: StreamSink>(
+        &self,
+        net: &Network,
+        pairs: &[(ClusterId, ClusterId)],
+        sink: &K,
+    ) -> std::io::Result<(Vec<K::State>, CampaignReport)> {
+        if let Some(path) = &self.checkpoint {
+            return ping_sink_resumable_impl(
+                net, pairs, &self.cfg, &self.profile, &self.retry, path, sink,
+            );
+        }
+        let mut cfg = self.cfg.clone();
+        if self.reference {
             // The reference executor is single-threaded by definition.
-            let mut cfg = self.cfg.clone();
             cfg.threads = 1;
-            ping_faulty_impl(net, pairs, &cfg, &self.profile, &self.retry)
-        } else {
-            ping_faulty_impl(net, pairs, &self.cfg, &self.profile, &self.retry)
-        };
-        self.publish(&report);
-        Ok((timelines, report))
+        }
+        Ok(ping_sink_impl(net, pairs, &cfg, &self.profile, &self.retry, sink))
     }
 
     /// Attaches a streaming sink: the returned [`SinkCampaign`] folds every
@@ -347,32 +365,7 @@ impl<K: StreamSink> SinkCampaign<K> {
         net: &Network,
         pairs: &[(ClusterId, ClusterId)],
     ) -> std::io::Result<(Vec<K::State>, CampaignReport)> {
-        let result = if let Some(path) = &self.campaign.checkpoint {
-            ping_sink_resumable_impl(
-                net,
-                pairs,
-                &self.campaign.cfg,
-                &self.campaign.profile,
-                &self.campaign.retry,
-                path,
-                &self.sink,
-            )
-        } else if self.campaign.reference {
-            let mut cfg = self.campaign.cfg.clone();
-            cfg.threads = 1;
-            Ok(ping_sink_impl(
-                net, pairs, &cfg, &self.campaign.profile, &self.campaign.retry, &self.sink,
-            ))
-        } else {
-            Ok(ping_sink_impl(
-                net,
-                pairs,
-                &self.campaign.cfg,
-                &self.campaign.profile,
-                &self.campaign.retry,
-                &self.sink,
-            ))
-        };
+        let result = self.campaign.run_ping_sink(net, pairs, &self.sink);
         if let Ok((states, report)) = &result {
             self.campaign.publish(report);
             self.publish_sink(states, report);

@@ -7,18 +7,23 @@
 //! records, execution is *streaming*: each worker folds its pairs' records
 //! into a caller-supplied accumulator instead of materializing everything.
 //!
-//! Work is partitioned by pair (each pair's whole timeline is folded by one
-//! worker, so accumulators never need locking). Within a worker, probes are
-//! batched by **(availability epoch, destination AS)**: routing is
-//! piecewise-constant between link-failure breakpoints, so the schedule's
-//! sample instants are grouped into epoch runs and pairs are visited in
-//! destination-AS order inside each run — every routing computation happens
-//! once per epoch and every destination's route table stays hot while it is
-//! being probed. The batching only reorders *when* slots execute; each
-//! (pair, protocol) accumulator still folds its records in time order, and
-//! probes are content-keyed, so the dataset is byte-identical to the
-//! sequential reference runner regardless of thread count or batch size
-//! (`S2S_EPOCH_BATCH` caps samples per run; unset means unlimited).
+//! Work is partitioned by pair: the pair list splits into one contiguous
+//! chunk per worker thread, and each (pair, protocol) accumulator is folded
+//! by one worker only, so accumulators never need locking. Every traceroute
+//! campaign — in memory or checkpointed — runs through one executor,
+//! `traceroute_sweep_impl`: each panic-isolated chunk worker walks the
+//! schedule instant by instant, resolving its slots of one instant with
+//! `traceroute_epoch_impl` (the always-on service's per-epoch step), and
+//! never waits for the other chunks. Routing is piecewise-constant between
+//! link-failure breakpoints, so a worker sweeping instants in order needs
+//! only the availability configurations live at its current instant, and
+//! each route table stays cached while it is probed. With a checkpoint set,
+//! workers hand each instant's archived lines to the calling thread, which
+//! appends block `B|<instant>|…`/`E|<instant>` once every chunk has
+//! delivered that instant. Each (pair, protocol) accumulator folds its
+//! records in time order and probes and fault decisions are content-keyed,
+//! so the dataset is byte-identical to the sequential reference executor
+//! regardless of thread count.
 
 use crate::dataset::{traceroute_from_line, traceroute_to_line};
 use crate::faults::{FaultInjector, FaultProfile, ProbeFault};
@@ -28,7 +33,12 @@ use crate::tracer::{trace, TraceOptions};
 use s2s_netsim::Network;
 use s2s_types::time::sample_times;
 use s2s_types::{ClusterId, Coverage, Protocol, SimDuration, SimTime};
+use std::collections::VecDeque;
+use std::fs::File;
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::sync::mpsc;
 
 /// When and how often to measure.
 #[derive(Clone, Debug)]
@@ -101,39 +111,6 @@ pub fn default_threads() -> usize {
     crate::env::threads()
 }
 
-/// Groups consecutive sample instants into runs that share one routing
-/// epoch (capped at `cap` samples per run). Concatenated, the runs cover
-/// `times` in order, so sweeping them run-by-run preserves the per-pair
-/// time order of the schedule.
-fn epoch_runs(net: &Network, times: &[SimTime], cap: usize) -> Vec<std::ops::Range<usize>> {
-    let dynamics = net.oracle().dynamics();
-    let mut runs = Vec::new();
-    let mut start = 0;
-    while start < times.len() {
-        let epoch = dynamics.epoch_of(times[start]);
-        let mut end = start + 1;
-        while end < times.len()
-            && end - start < cap
-            && dynamics.epoch_of(times[end]) == epoch
-        {
-            end += 1;
-        }
-        runs.push(start..end);
-        start = end;
-    }
-    runs
-}
-
-/// The order a worker visits its pairs in: grouped by destination AS (ties
-/// broken by position, so the order is deterministic). Consecutive pairs
-/// then share per-destination route tables inside one epoch run.
-fn dst_batched_order(net: &Network, chunk: &[(ClusterId, ClusterId)]) -> Vec<usize> {
-    let topo = net.oracle().topology();
-    let mut order: Vec<usize> = (0..chunk.len()).collect();
-    order.sort_by_key(|&i| (topo.clusters[chunk[i].1.index()].host_as, i));
-    order
-}
-
 /// All ordered (directed) cluster pairs — the full mesh of §2.1.
 pub fn full_mesh_pairs(n_clusters: usize) -> Vec<(ClusterId, ClusterId)> {
     let mut v = Vec::with_capacity(n_clusters * n_clusters.saturating_sub(1));
@@ -159,55 +136,6 @@ pub fn colocated_pairs(topo: &s2s_topology::Topology) -> Vec<(ClusterId, Cluster
         }
     }
     v
-}
-
-/// The plain (fault-free) epoch-batched parallel runner. The builder
-/// always routes through the fault-aware cores (an all-zero profile is a
-/// no-op by construction); this one survives as the independent baseline
-/// the internal zero-fault equivalence tests compare against.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn traceroute_with_impl<A, O, I, S>(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    opts_of: O,
-    init: I,
-    step: S,
-) -> Vec<A>
-where
-    A: Send,
-    O: Fn(SimTime, Protocol) -> TraceOptions + Sync,
-    I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
-    S: Fn(&mut A, TracerouteRecord) + Sync,
-{
-    let (times, runs) = s2s_obs::timed("campaign.plan", || {
-        let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-        let runs = epoch_runs(net, &times, crate::env::epoch_batch_cap());
-        (times, runs)
-    });
-    let (times, runs, opts_of, init, step) = (&times, &runs, &opts_of, &init, &step);
-    s2s_obs::timed("campaign.execute", || {
-        run_partitioned(pairs, cfg, move |chunk| {
-            let mut accs: Vec<A> = chunk
-                .iter()
-                .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-                .collect();
-            let order = dst_batched_order(net, chunk);
-            for run in runs.iter() {
-                for &pi in &order {
-                    let (src, dst) = chunk[pi];
-                    for ti in run.clone() {
-                        let t = times[ti];
-                        for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                            let rec = trace(net, src, dst, proto, t, opts_of(t, proto));
-                            step(&mut accs[pi * cfg.protocols.len() + qi], rec);
-                        }
-                    }
-                }
-            }
-            accs
-        })
-    })
 }
 
 /// One (pair, protocol) ping timeline: a slot per sampling instant, `NaN`
@@ -259,45 +187,6 @@ impl PingTimeline {
                 .collect(),
         )
     }
-}
-
-/// The plain (fault-free) parallel ping runner — the independent baseline
-/// of the internal zero-fault equivalence tests (the builder always routes
-/// through the fault-aware core).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn ping_impl(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-) -> Vec<PingTimeline> {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let times = &times;
-    run_partitioned(pairs, cfg, move |chunk| {
-        let mut out: Vec<PingTimeline> = chunk
-            .iter()
-            .flat_map(|&(s, d)| {
-                cfg.protocols.iter().map(move |&p| PingTimeline {
-                    src: s,
-                    dst: d,
-                    proto: p,
-                    start: cfg.start,
-                    interval: cfg.interval,
-                    rtts: Vec::with_capacity(times.len()),
-                })
-            })
-            .collect();
-        for (ti, &t) in times.iter().enumerate() {
-            for (pi, &(src, dst)) in chunk.iter().enumerate() {
-                for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                    let rtt = net.ping(src, dst, proto, t, ti as u64);
-                    out[pi * cfg.protocols.len() + qi]
-                        .rtts
-                        .push(rtt.map(|r| r as f32).unwrap_or(f32::NAN));
-                }
-            }
-        }
-        out
-    })
 }
 
 /// Convenience: a single ping as a [`PingRecord`].
@@ -565,104 +454,213 @@ fn traceroute_slot(
     SlotOutcome::Lost
 }
 
-/// The fault-aware, panic-isolated epoch-batched parallel execution core
-/// (see [`Campaign::run_traceroute_with`] for the public front door).
+/// The one traceroute execution core, in memory or checkpointed (see
+/// [`Campaign::run_traceroute_with`] for the public front door).
 ///
-/// The measurement plane sits behind a [`FaultProfile`]: crashed agents
-/// skip their epochs, dropped and stuck probes retry under `retry`,
-/// truncated results are delivered as incomplete records, and slots that
-/// produce nothing fold a synthetic lost record so every timeline stays
-/// dense (one sample per scheduled instant). Workers are panic-isolated: a
+/// The pair list splits into one contiguous chunk per worker thread. Each
+/// panic-isolated chunk worker sweeps the schedule instant by instant,
+/// resolving its chunk's slots of each instant with
+/// [`traceroute_epoch_impl`], and never waits for the other chunks. The
+/// measurement plane sits behind a [`FaultProfile`]: crashed agents skip
+/// their epochs, dropped and stuck probes retry under `retry`, truncated
+/// results are delivered as incomplete records, and slots that produce
+/// nothing fold a synthetic lost record so every timeline stays dense. A
 /// panicking worker poisons only its own pairs (reported, with empty
-/// accumulators) instead of taking the campaign down.
+/// accumulators) instead of taking the campaign down. Fault decisions are
+/// content-keyed on the profile seed and the global sample index, so the
+/// outcome is independent of thread count and execution order.
 ///
-/// Every fault decision is content-keyed on the profile seed, so the
-/// outcome is independent of thread count and execution order — and under
-/// the all-zero default profile the accumulators are identical to the
-/// plain runner's.
+/// With `checkpoint` set, the complete leading blocks the file already
+/// holds are replayed instead of re-measured, and every later instant is
+/// appended as one framed block in slot order (pair-major, protocol-minor)
+/// and flushed: `B|<instant>|<n_slots>`, the records as `T|…` lines, then
+/// `E|<instant>`. Workers hand each instant's lines to the calling thread,
+/// which appends a block once every chunk has delivered that instant; a
+/// chunk whose worker panicked delivers nothing more, so the file stops at
+/// the last instant every chunk finished.
+///
+/// **Bit-identical dataset guarantee.** Kill this process at any instant
+/// and rerun with the same arguments: the finished checkpoint file is
+/// byte-identical to the one an uninterrupted run writes, and the returned
+/// accumulators are equal. Three properties make that true: fault
+/// decisions are content-keyed (never order- or wallclock-dependent);
+/// blocks are written in schedule order and a partial trailing block is
+/// discarded on resume; and *every* record of a checkpointed run — fresh
+/// or replayed — is folded through the archive line format, so a replayed
+/// slot folds exactly the bytes a fresh slot would have archived. The
+/// file grows one instant at a time, so a kill loses only the instants not
+/// yet appended. Replay checks every record against its
+/// slot's (src, dst, protocol, instant); the first block that fails —
+/// written for another pair list or schedule — ends the accepted prefix
+/// and is truncated and re-measured.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn traceroute_faulty_impl<A, O, I, S>(
+pub(crate) fn traceroute_sweep_impl<A, O, I, S>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
     opts_of: O,
     profile: &FaultProfile,
     retry: &RetryPolicy,
+    checkpoint: Option<&Path>,
     init: I,
     step: S,
-) -> (Vec<A>, CampaignReport)
+) -> io::Result<(Vec<A>, CampaignReport)>
 where
     A: Send,
     O: Fn(SimTime, Protocol) -> TraceOptions + Sync,
     I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
     S: Fn(&mut A, TracerouteRecord) + Sync,
 {
-    let injector = FaultInjector::new(*profile);
-    let (times, runs) = s2s_obs::timed("campaign.plan", || {
-        let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-        let runs = epoch_runs(net, &times, crate::env::epoch_batch_cap());
-        (times, runs)
-    });
-    let (times, runs, opts_of, init, step) = (&times, &runs, &opts_of, &init, &step);
     let t_exec = std::time::Instant::now();
-    let out = run_partitioned_isolated(
+    let times = cfg.times();
+    let n_protos = cfg.protocols.len();
+    let slots = pairs.len() * n_protos;
+    let injector = FaultInjector::new(*profile);
+
+    let (replayed, archive) = match checkpoint {
+        Some(path) => {
+            let (blocks, out) = open_checkpoint(path, slots, |ti, lines| {
+                let t = *times.get(ti)?;
+                let slot_records = lines.iter().enumerate().map(|(si, line)| {
+                    let rec = traceroute_from_line(line, si + 1).ok()?;
+                    let (src, dst) = pairs[si / n_protos];
+                    let slot = (src, dst, cfg.protocols[si % n_protos], t);
+                    ((rec.src, rec.dst, rec.proto, rec.t) == slot).then_some(rec)
+                });
+                slot_records.collect::<Option<Vec<_>>>()
+            })?;
+            (blocks, Some(out))
+        }
+        None => (Vec::new(), None),
+    };
+    let done = replayed.len();
+    let archiving = archive.is_some();
+    let chunk = chunk_len(pairs.len(), cfg.threads);
+    let (tx, rx) = mpsc::channel();
+    let init = &init;
+    let init_chunk = |chunk_pairs: &[(ClusterId, ClusterId)]| -> Vec<A> {
+        chunk_pairs
+            .iter()
+            .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
+            .collect()
+    };
+
+    let (accs, mut report, written) = run_chunks(
         pairs,
         cfg,
-        move |chunk| {
+        |c, chunk_pairs| {
+            // First, so that even a panic in `init` or a replayed fold
+            // tells the writer this chunk delivers nothing more.
+            let feed = archiving.then(|| BlockFeed { tx: tx.clone(), chunk: c });
+            let mut accs = init_chunk(chunk_pairs);
+            let first_slot = c * chunk * n_protos;
+            for block in &replayed {
+                for (acc, rec) in accs.iter_mut().zip(&block[first_slot..]) {
+                    step(acc, rec.clone());
+                }
+            }
             let mut report = CampaignReport::default();
-            let mut accs: Vec<A> = chunk
-                .iter()
-                .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-                .collect();
-            let order = dst_batched_order(net, chunk);
-            for run in runs.iter() {
-                for &pi in &order {
-                    let (src, dst) = chunk[pi];
-                    for ti in run.clone() {
-                        let t = times[ti];
-                        for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                            let outcome = traceroute_slot(
-                                net,
-                                &injector,
-                                retry,
-                                src,
-                                dst,
-                                proto,
-                                t,
-                                // Fault decisions are keyed on the *sample
-                                // index*, not the routing epoch — keeping
-                                // the key stable under any batching.
-                                ti as u64,
-                                opts_of(t, proto),
-                                &mut report,
-                            );
-                            let rec = match outcome {
-                                SlotOutcome::Record(rec) => rec,
-                                SlotOutcome::Lost => lost_record(src, dst, proto, t),
-                            };
-                            step(&mut accs[pi * cfg.protocols.len() + qi], rec);
-                        }
-                    }
+            for (ti, &t) in times.iter().enumerate().skip(done) {
+                let mut lines = Vec::new();
+                let r = traceroute_epoch_impl(
+                    net, chunk_pairs, cfg, &opts_of, &injector, retry, ti, t,
+                    |slot, rec| {
+                        let rec = if archiving {
+                            // Fold the archived form, not the live one:
+                            // replay and fresh paths must fold identical
+                            // bytes.
+                            let line = traceroute_to_line(&rec);
+                            let archived = traceroute_from_line(&line, 0)
+                                .expect("own format must round-trip");
+                            lines.push(line);
+                            archived
+                        } else {
+                            rec
+                        };
+                        step(&mut accs[slot], rec);
+                    },
+                );
+                report.merge(&r);
+                if let Some(feed) = &feed {
+                    // A closed writer (an I/O error, or another chunk's
+                    // panic) drops the lines; measuring goes on.
+                    let _ = feed.tx.send((c, Some(lines)));
                 }
             }
             (accs, report)
         },
-        move |chunk| {
-            chunk
-                .iter()
-                .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-                .collect()
+        init_chunk,
+        || match archive {
+            Some(out) => {
+                let n_chunks = pairs.len().div_ceil(chunk);
+                append_blocks(out, rx, n_chunks, done..times.len(), slots)
+            }
+            None => Ok(()),
         },
     );
+    written?;
+    report.resumed_slots += done * slots;
     if let Some(reg) = s2s_obs::installed() {
         reg.span("campaign.execute").record(t_exec.elapsed());
     }
-    out
+    Ok((accs, report))
 }
 
-/// The sequential, unbatched fault-aware execution core — the reference
-/// side of the byte-identity suites and of [`Campaign::reference`]:
-/// validates that batching changes neither the accumulators nor the
+/// One chunk worker's line feed to the checkpoint writer. Dropping it —
+/// when the worker returns or unwinds — tells the writer the chunk will
+/// deliver no further instant.
+struct BlockFeed {
+    tx: mpsc::Sender<(usize, Option<Vec<String>>)>,
+    chunk: usize,
+}
+
+impl Drop for BlockFeed {
+    fn drop(&mut self) {
+        let _ = self.tx.send((self.chunk, None));
+    }
+}
+
+/// The checkpoint writer of [`traceroute_sweep_impl`], run on the calling
+/// thread: appends and flushes block `B|ti|…E|ti` for each instant of
+/// `instants` once all `n_chunks` chunks have delivered their lines for
+/// it, in chunk order. Returns once the last block is written, or early
+/// when a chunk ends short of the schedule (its worker panicked), so the
+/// file stays a byte prefix of an uninterrupted run's.
+fn append_blocks(
+    mut out: BufWriter<File>,
+    rx: mpsc::Receiver<(usize, Option<Vec<String>>)>,
+    n_chunks: usize,
+    instants: std::ops::Range<usize>,
+    slots: usize,
+) -> io::Result<()> {
+    let mut pending: Vec<VecDeque<Vec<String>>> = vec![VecDeque::new(); n_chunks];
+    let mut ended = vec![false; n_chunks];
+    for ti in instants {
+        while pending.iter().any(VecDeque::is_empty) {
+            if pending.iter().zip(&ended).any(|(q, &e)| e && q.is_empty()) {
+                return Ok(());
+            }
+            let Ok((c, lines)) = rx.recv() else { return Ok(()) };
+            match lines {
+                Some(lines) => pending[c].push_back(lines),
+                None => ended[c] = true,
+            }
+        }
+        writeln!(out, "B|{ti}|{slots}")?;
+        for q in &mut pending {
+            for line in q.pop_front().into_iter().flatten() {
+                writeln!(out, "{line}")?;
+            }
+        }
+        writeln!(out, "E|{ti}")?;
+        out.flush()?;
+    }
+    Ok(())
+}
+
+/// The sequential fault-aware execution core — the reference side of the
+/// byte-identity suites and of [`Campaign::reference`]: validates that the
+/// chunked parallel sweep changes neither the accumulators nor the
 /// [`CampaignReport`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn traceroute_faulty_reference_impl<A, O, I, S>(
@@ -715,13 +713,13 @@ where
 }
 
 /// The single-epoch execution core behind the always-on service (see
-/// [`Campaign::run_traceroute_epoch`]) and the checkpointed executor
-/// ([`traceroute_resumable_impl`]): resolves every (pair, protocol) slot
+/// [`Campaign::run_traceroute_epoch`]) and every chunk worker of
+/// [`traceroute_sweep_impl`]: resolves every (pair, protocol) slot
 /// of **one** schedule instant, in the reference executor's slot order
 /// (pair-major, protocol in `cfg.protocols` order).
 ///
 /// Fault decisions are keyed on the *global* sample index `epoch` — the
-/// same key every batch core uses — so driving the schedule epoch by
+/// same key the reference executor uses — so driving the schedule epoch by
 /// epoch reproduces the batch outcome exactly: folding each epoch's
 /// records into per-slot accumulators yields byte-identical accumulators,
 /// and [merging](CampaignReport::merge) the per-epoch reports yields the
@@ -767,70 +765,6 @@ where
     report
 }
 
-/// The fault-aware parallel ping execution core (see
-/// [`Campaign::run_ping`]): lost slots (crashes, drops, stuck probes) are
-/// recorded as `NaN` so the dense timeline shape — one slot per scheduled
-/// instant — is preserved.
-pub(crate) fn ping_faulty_impl(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    profile: &FaultProfile,
-    retry: &RetryPolicy,
-) -> (Vec<PingTimeline>, CampaignReport) {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
-    let injector = FaultInjector::new(*profile);
-    let times = &times;
-    run_partitioned_isolated(
-        pairs,
-        cfg,
-        move |chunk| {
-            let mut report = CampaignReport::default();
-            let mut out: Vec<PingTimeline> = empty_ping_timelines(chunk, cfg, times.len());
-            for (ti, &t) in times.iter().enumerate() {
-                for (pi, &(src, dst)) in chunk.iter().enumerate() {
-                    for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                        report.offered += 1;
-                        let rtt = if injector.agent_down(src, ti as u64) {
-                            report.agent_down_slots += 1;
-                            None
-                        } else {
-                            ping_slot(
-                                net, &injector, retry, src, dst, proto, t, ti, &mut report,
-                            )
-                        };
-                        out[pi * cfg.protocols.len() + qi]
-                            .rtts
-                            .push(rtt.map(|r| r as f32).unwrap_or(f32::NAN));
-                    }
-                }
-            }
-            (out, report)
-        },
-        move |chunk| empty_ping_timelines(chunk, cfg, 0),
-    )
-}
-
-fn empty_ping_timelines(
-    chunk: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    capacity: usize,
-) -> Vec<PingTimeline> {
-    chunk
-        .iter()
-        .flat_map(|&(s, d)| {
-            cfg.protocols.iter().map(move |&p| PingTimeline {
-                src: s,
-                dst: d,
-                proto: p,
-                start: cfg.start,
-                interval: cfg.interval,
-                rtts: Vec::with_capacity(capacity),
-            })
-        })
-        .collect()
-}
-
 /// One ping slot under the fault plane (the agent is known to be up).
 #[allow(clippy::too_many_arguments)]
 fn ping_slot(
@@ -869,65 +803,107 @@ fn ping_slot(
     None
 }
 
-/// Like [`run_partitioned`], but workers return a report alongside their
-/// accumulators and are panic-isolated: a panicking worker contributes
-/// empty accumulators (built by `mk_empty`) and marks its pairs poisoned
-/// instead of aborting the campaign.
-fn run_partitioned_isolated<A, F, E>(
+/// Pairs per worker chunk: `threads` contiguous chunks (at most one per
+/// pair), never empty.
+fn chunk_len(n_pairs: usize, threads: usize) -> usize {
+    let threads = threads.max(1).min(n_pairs.max(1));
+    n_pairs.div_ceil(threads).max(1)
+}
+
+/// Partitions pairs into [`chunk_len`] chunks and runs `work(index, chunk)`
+/// for each on its own scoped thread while the calling thread runs
+/// `coordinate`. Per-chunk accumulators concatenate in pair order and
+/// reports merge in chunk order. Workers are panic-isolated: a panicking
+/// worker contributes empty accumulators (built by `mk_empty`) and marks
+/// its pairs poisoned instead of aborting the campaign.
+fn run_chunks<A, F, E, R>(
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
     work: F,
     mk_empty: E,
-) -> (Vec<A>, CampaignReport)
+    coordinate: impl FnOnce() -> R,
+) -> (Vec<A>, CampaignReport, R)
 where
     A: Send,
-    F: Fn(&[(ClusterId, ClusterId)]) -> (Vec<A>, CampaignReport) + Sync,
+    F: Fn(usize, &[(ClusterId, ClusterId)]) -> (Vec<A>, CampaignReport) + Sync,
     E: Fn(&[(ClusterId, ClusterId)]) -> Vec<A> + Sync,
 {
-    let threads = cfg.threads.max(1).min(pairs.len().max(1));
-    let chunk_size = pairs.len().div_ceil(threads).max(1);
-    let chunk_results: Vec<(Vec<A>, CampaignReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let (work, mk_empty) = (&work, &mk_empty);
-                scope.spawn(move || match catch_unwind(AssertUnwindSafe(|| work(chunk))) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        let report = CampaignReport {
-                            worker_panics: 1,
-                            poisoned_pairs: chunk.to_vec(),
-                            ..CampaignReport::default()
-                        };
-                        (mk_empty(chunk), report)
-                    }
+    let chunk_size = chunk_len(pairs.len(), cfg.threads);
+    let (chunk_results, coordinated): (Vec<(Vec<A>, CampaignReport)>, R) =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = pairs
+                .chunks(chunk_size)
+                .enumerate()
+                .map(|(c, chunk)| {
+                    let (work, mk_empty) = (&work, &mk_empty);
+                    scope.spawn(move || match catch_unwind(AssertUnwindSafe(|| work(c, chunk))) {
+                        Ok(result) => result,
+                        Err(_) => {
+                            let report = CampaignReport {
+                                worker_panics: 1,
+                                poisoned_pairs: chunk.to_vec(),
+                                ..CampaignReport::default()
+                            };
+                            (mk_empty(chunk), report)
+                        }
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("isolated campaign worker cannot panic"))
-            .collect()
-    });
+                .collect();
+            let coordinated = coordinate();
+            let results = handles
+                .into_iter()
+                .map(|h| h.join().expect("isolated campaign worker cannot panic"))
+                .collect();
+            (results, coordinated)
+        });
     let mut report = CampaignReport::default();
     let mut accs = Vec::new();
     for (chunk_accs, chunk_report) in chunk_results {
         report.merge(&chunk_report);
         accs.extend(chunk_accs);
     }
-    (accs, report)
+    (accs, report, coordinated)
 }
 
 // ---------------------------------------------------------------------------
 // Streaming sinks
 // ---------------------------------------------------------------------------
 
-/// The fault-aware parallel ping executor over a [`StreamSink`]: identical
-/// schedule, fault decisions, and report accounting to [`ping_faulty_impl`],
-/// but every slot is folded into per-(pair, protocol) sink state instead of
-/// a materialized timeline — memory stays proportional to pairs, not
-/// samples. States are ordered pair-major, then protocol in
-/// `cfg.protocols` order, like every other campaign accumulator.
+/// One scheduled ping sample under the fault plane, as a sink folds it:
+/// books the slot in `report` and returns the delivered RTT (`None` for a
+/// crashed agent or a lost probe), rounded through `f32` so sink state sees
+/// exactly the values a materialized timeline stores.
+#[allow(clippy::too_many_arguments)]
+fn ping_sample(
+    net: &Network,
+    injector: &FaultInjector,
+    retry: &RetryPolicy,
+    src: ClusterId,
+    dst: ClusterId,
+    proto: Protocol,
+    t: SimTime,
+    ti: usize,
+    report: &mut CampaignReport,
+) -> Option<f64> {
+    report.offered += 1;
+    let rtt = if injector.agent_down(src, ti as u64) {
+        report.agent_down_slots += 1;
+        None
+    } else {
+        ping_slot(net, injector, retry, src, dst, proto, t, ti, report)
+    };
+    rtt.map(|r| f64::from(r as f32))
+}
+
+/// The fault-aware parallel ping executor over a [`StreamSink`] (see
+/// [`Campaign::run_ping`]): every slot is folded into per-(pair, protocol)
+/// sink state — a dense [`PingTimeline`] through
+/// [`TimelineSink`](crate::stream::TimelineSink), a constant-size profile
+/// through [`PairProfileSink`](crate::stream::PairProfileSink) — so memory
+/// follows the sink, not the sample count. Lost slots (crashes, drops,
+/// stuck probes) fold as `None`. States are ordered pair-major, then
+/// protocol in `cfg.protocols` order, like every other campaign
+/// accumulator.
 pub(crate) fn ping_sink_impl<K: StreamSink>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
@@ -936,30 +912,20 @@ pub(crate) fn ping_sink_impl<K: StreamSink>(
     retry: &RetryPolicy,
     sink: &K,
 ) -> (Vec<K::State>, CampaignReport) {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
+    let times = cfg.times();
     let injector = FaultInjector::new(*profile);
-    let times = &times;
-    run_partitioned_isolated(
+    let (states, report, ()) = run_chunks(
         pairs,
         cfg,
-        move |chunk| {
+        |_, chunk| {
             let mut report = CampaignReport::default();
             let mut out: Vec<K::State> = empty_sink_states(chunk, cfg, sink);
             for (ti, &t) in times.iter().enumerate() {
                 for (pi, &(src, dst)) in chunk.iter().enumerate() {
                     for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                        report.offered += 1;
-                        let rtt = if injector.agent_down(src, ti as u64) {
-                            report.agent_down_slots += 1;
-                            None
-                        } else {
-                            ping_slot(
-                                net, &injector, retry, src, dst, proto, t, ti, &mut report,
-                            )
-                        };
-                        // Round through f32 first: sink state must see the
-                        // exact values a materialized timeline stores.
-                        let rtt = rtt.map(|r| f64::from(r as f32));
+                        let rtt = ping_sample(
+                            net, &injector, retry, src, dst, proto, t, ti, &mut report,
+                        );
                         sink.fold(&mut out[pi * cfg.protocols.len() + qi], ti as u64, t, rtt);
                     }
                 }
@@ -969,8 +935,10 @@ pub(crate) fn ping_sink_impl<K: StreamSink>(
             }
             (out, report)
         },
-        move |chunk| empty_sink_states(chunk, cfg, sink),
-    )
+        |chunk| empty_sink_states(chunk, cfg, sink),
+        || (),
+    );
+    (states, report)
 }
 
 fn empty_sink_states<K: StreamSink>(
@@ -985,55 +953,45 @@ fn empty_sink_states<K: StreamSink>(
 }
 
 /// The checkpoint/resume ping executor over a [`StreamSink`] — the same
-/// framing and bit-identical-resume guarantee as
-/// [`traceroute_resumable_impl`], with serialized sink states as the block
-/// payload: per pair, `B|<pair_index>|<n_states>`, one
-/// [`StreamSink::save`] line per protocol, then `E|<pair_index>`. On
-/// resume, complete leading blocks are [`StreamSink::load`]ed instead of
-/// re-measured (each books its instants × protocols as `resumed_slots`;
-/// its per-probe report counters are not reconstructed); a partial
-/// trailing block is discarded. Because fault decisions are content-keyed
-/// and `save`/`load` round-trip bit-exactly, the finished file and the
-/// returned states match an uninterrupted run's.
+/// bit-identical-resume guarantee as [`traceroute_sweep_impl`], with
+/// serialized sink states as the block payload: per pair,
+/// `B|<pair_index>|<n_states>`, one [`StreamSink::save`] line per
+/// protocol, then `E|<pair_index>`. On resume, complete leading blocks are
+/// [`StreamSink::load`]ed instead of re-measured (each books its instants
+/// × protocols as `resumed_slots`; its per-probe report counters are not
+/// reconstructed). Replay checks every state's
+/// [series](StreamSink::series) against its slot's (src, dst, protocol);
+/// the first block that fails — torn, unparseable, or written for another
+/// pair list — ends the accepted prefix and is truncated and re-measured.
+/// Because fault decisions are content-keyed and `save`/`load` round-trip
+/// bit-exactly, the finished file and the returned states match an
+/// uninterrupted run's.
 pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     net: &Network,
     pairs: &[(ClusterId, ClusterId)],
     cfg: &CampaignConfig,
     profile: &FaultProfile,
     retry: &RetryPolicy,
-    checkpoint: &std::path::Path,
+    checkpoint: &Path,
     sink: &K,
-) -> std::io::Result<(Vec<K::State>, CampaignReport)> {
-    let times: Vec<SimTime> = sample_times(cfg.start, cfg.end, cfg.interval).collect();
+) -> io::Result<(Vec<K::State>, CampaignReport)> {
+    let times = cfg.times();
     let states_per_pair = cfg.protocols.len();
     let injector = FaultInjector::new(*profile);
     let mut report = CampaignReport::default();
 
-    let (replayable, keep_bytes) =
-        load_checkpoint_prefix(checkpoint, states_per_pair, |_, lines| Some(lines))?;
-    let done_pairs = replayable.len().min(pairs.len());
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .read(true)
-        .truncate(false)
-        .open(checkpoint)?;
-    file.set_len(keep_bytes)?;
-    let mut out = std::io::BufWriter::new(file);
-    use std::io::{Seek, SeekFrom, Write};
-    out.seek(SeekFrom::End(0))?;
-
+    let (replayed, mut out) = open_checkpoint(checkpoint, states_per_pair, |pi, lines| {
+        let &(src, dst) = pairs.get(pi)?;
+        let slot_states = lines.iter().zip(&cfg.protocols).map(|(line, &proto)| {
+            let st = sink.load(line).ok()?;
+            (sink.series(&st) == (src, dst, proto)).then_some(st)
+        });
+        slot_states.collect::<Option<Vec<_>>>()
+    })?;
+    let done_pairs = replayed.len();
     let mut accs: Vec<K::State> = Vec::with_capacity(pairs.len() * states_per_pair);
-    for (pi, lines) in replayable.iter().take(done_pairs).enumerate() {
-        for line in lines {
-            let st = sink.load(line).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("checkpoint block {pi}: {e}"),
-                )
-            })?;
-            accs.push(st);
-        }
+    for states in replayed {
+        accs.extend(states);
         report.resumed_slots += states_per_pair * times.len();
     }
 
@@ -1041,7 +999,6 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
     // pair order after each batch — a kill loses at most one batch.
     let threads = cfg.threads.max(1);
     let remaining = &pairs[done_pairs..];
-    let times_ref = &times;
     for (bi, batch) in remaining.chunks(threads).enumerate() {
         let batch_base = done_pairs + bi * threads;
         let batch_results: Vec<(Vec<K::State>, CampaignReport)> =
@@ -1049,7 +1006,7 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
                 let handles: Vec<_> = batch
                     .iter()
                     .map(|&(src, dst)| {
-                        let injector = &injector;
+                        let (injector, times) = (&injector, &times);
                         scope.spawn(move || {
                             let mut rep = CampaignReport::default();
                             let mut pair_states: Vec<K::State> = cfg
@@ -1057,19 +1014,11 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
                                 .iter()
                                 .map(|&p| sink.init(src, dst, p))
                                 .collect();
-                            for (ti, &t) in times_ref.iter().enumerate() {
+                            for (ti, &t) in times.iter().enumerate() {
                                 for (qi, &proto) in cfg.protocols.iter().enumerate() {
-                                    rep.offered += 1;
-                                    let rtt = if injector.agent_down(src, ti as u64) {
-                                        rep.agent_down_slots += 1;
-                                        None
-                                    } else {
-                                        ping_slot(
-                                            net, injector, retry, src, dst, proto, t, ti,
-                                            &mut rep,
-                                        )
-                                    };
-                                    let rtt = rtt.map(|r| f64::from(r as f32));
+                                    let rtt = ping_sample(
+                                        net, injector, retry, src, dst, proto, t, ti, &mut rep,
+                                    );
                                     sink.fold(&mut pair_states[qi], ti as u64, t, rtt);
                                 }
                             }
@@ -1104,147 +1053,28 @@ pub(crate) fn ping_sink_resumable_impl<K: StreamSink>(
 // Checkpoint / resume
 // ---------------------------------------------------------------------------
 
-/// The checkpoint/resume execution core (see [`Campaign::checkpoint`] for
-/// the public front door): sweeps the schedule one instant at a time.
-/// Each instant's slots are measured across pair chunks on `cfg.threads`
-/// by [`traceroute_epoch_impl`], then appended to `checkpoint` as one
-/// framed block in slot order (pair-major, protocol-minor) and flushed. On
-/// start, the complete leading blocks the file already holds are replayed
-/// instead of re-measured.
-///
-/// Sweeping by instant, not by pair, is what keeps routing cheap: a block
-/// needs only the availability configurations live at its instant, so
-/// every (configuration, AS) route table is computed once, not once per
-/// pair as the oracle's small config LRU cycles through the schedule.
-///
-/// **Bit-identical dataset guarantee.** Kill this process at any instant
-/// and rerun with the same arguments: the finished checkpoint file is
-/// byte-identical to the one an uninterrupted run writes, and the returned
-/// accumulators are equal. Three properties make that true: fault
-/// decisions are content-keyed (never order- or wallclock-dependent);
-/// blocks are written in schedule order and a partial trailing block is
-/// discarded on resume; and *every* record — fresh or replayed — is folded
-/// through the archive line format, so a replayed slot folds exactly the
-/// bytes a fresh slot would have archived. A kill loses at most one
-/// instant.
-///
-/// The checkpoint format rides the dataset line format: per instant,
-/// `B|<instant>|<n_slots>`, the records as `T|…` lines, then
-/// `E|<instant>`. Replay checks every record against its slot's (src,
-/// dst, protocol, instant); the first block that fails — written for
-/// another pair list or schedule — ends the accepted prefix and is
-/// truncated and re-measured.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn traceroute_resumable_impl<A, O, I, S>(
-    net: &Network,
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    opts_of: O,
-    profile: &FaultProfile,
-    retry: &RetryPolicy,
-    checkpoint: &std::path::Path,
-    init: I,
-    step: S,
-) -> std::io::Result<(Vec<A>, CampaignReport)>
-where
-    A: Send,
-    O: Fn(SimTime, Protocol) -> TraceOptions + Sync,
-    I: Fn(ClusterId, ClusterId, Protocol) -> A + Sync,
-    S: Fn(&mut A, TracerouteRecord) + Sync,
-{
-    let times = cfg.times();
-    let n_protos = cfg.protocols.len();
-    let slots = pairs.len() * n_protos;
-    let injector = FaultInjector::new(*profile);
-    let mut report = CampaignReport::default();
-
-    // Load the complete leading blocks whose records all sit in their own
-    // slots; truncate anything after them (a partial block from a
-    // mid-write kill, or a block from some other campaign).
-    let (replayable, keep_bytes) = load_checkpoint_prefix(checkpoint, slots, |ti, lines| {
-        let t = *times.get(ti)?;
-        let slot_records = lines.iter().enumerate().map(|(si, line)| {
-            let rec = traceroute_from_line(line, si + 1).ok()?;
-            let (src, dst) = pairs[si / n_protos];
-            let slot = (src, dst, cfg.protocols[si % n_protos], t);
-            ((rec.src, rec.dst, rec.proto, rec.t) == slot).then_some(rec)
-        });
-        slot_records.collect::<Option<Vec<_>>>()
-    })?;
+/// Opens a checkpoint for resuming: reads its complete leading blocks
+/// through [`load_checkpoint_prefix`], truncates the file after them, and
+/// returns what `accept` made of each block with the file positioned for
+/// appending.
+fn open_checkpoint<T>(
+    path: &Path,
+    lines_per_block: usize,
+    accept: impl FnMut(usize, Vec<String>) -> Option<T>,
+) -> io::Result<(Vec<T>, BufWriter<File>)> {
+    let (blocks, keep_bytes) = load_checkpoint_prefix(path, lines_per_block, accept)?;
     let file = std::fs::OpenOptions::new()
         .create(true)
         .write(true)
         .read(true)
-        // Not truncated on open: the complete leading blocks are kept and
-        // set_len below discards only the rejected tail.
+        // Not truncated on open: the accepted blocks are kept and set_len
+        // below discards only the rejected tail.
         .truncate(false)
-        .open(checkpoint)?;
+        .open(path)?;
     file.set_len(keep_bytes)?;
-    let mut out = std::io::BufWriter::new(file);
-    use std::io::{Seek, SeekFrom, Write};
+    let mut out = BufWriter::new(file);
     out.seek(SeekFrom::End(0))?;
-
-    let init = &init;
-    let mut accs: Vec<A> = pairs
-        .iter()
-        .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
-        .collect();
-
-    // Replay finished instants through the same fold a fresh run uses.
-    let done = replayable.len();
-    for records in replayable {
-        for (acc, rec) in accs.iter_mut().zip(records) {
-            step(acc, rec);
-        }
-        report.resumed_slots += slots;
-    }
-
-    // Measure the rest one instant at a time, each instant's pair chunks
-    // in parallel; its block appends once every chunk is in.
-    let threads = cfg.threads.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(threads).max(1);
-    let (opts_of, step, injector) = (&opts_of, &step, &injector);
-    for (ti, &t) in times.iter().enumerate().skip(done) {
-        let results: Vec<(Vec<String>, CampaignReport)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .zip(accs.chunks_mut(chunk * n_protos.max(1)))
-                .map(|(chunk_pairs, chunk_accs)| {
-                    scope.spawn(move || {
-                        let mut lines = Vec::with_capacity(chunk_accs.len());
-                        let rep = traceroute_epoch_impl(
-                            net, chunk_pairs, cfg, opts_of, injector, retry, ti, t,
-                            |slot, rec| {
-                                let line = traceroute_to_line(&rec);
-                                // Fold the archived form, not the live
-                                // one: replay and fresh paths must fold
-                                // identical bytes.
-                                let archived = traceroute_from_line(&line, 0)
-                                    .expect("own format must round-trip");
-                                step(&mut chunk_accs[slot], archived);
-                                lines.push(line);
-                            },
-                        );
-                        (lines, rep)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("resumable campaign worker panicked"))
-                .collect()
-        });
-        writeln!(out, "B|{ti}|{slots}")?;
-        for (lines, rep) in &results {
-            report.merge(rep);
-            for line in lines {
-                writeln!(out, "{line}")?;
-            }
-        }
-        writeln!(out, "E|{ti}")?;
-        out.flush()?;
-    }
-    Ok((accs, report))
+    Ok((blocks, out))
 }
 
 /// Reads the complete leading blocks of a checkpoint file, passing each
@@ -1308,34 +1138,6 @@ fn load_checkpoint_prefix<T>(
     Ok((blocks, accepted))
 }
 
-/// Partitions pairs across workers and concatenates per-chunk outputs in
-/// pair order.
-fn run_partitioned<A, F>(
-    pairs: &[(ClusterId, ClusterId)],
-    cfg: &CampaignConfig,
-    work: F,
-) -> Vec<A>
-where
-    A: Send,
-    F: Fn(&[(ClusterId, ClusterId)]) -> Vec<A> + Sync,
-{
-    let threads = cfg.threads.max(1).min(pairs.len().max(1));
-    if threads <= 1 || pairs.len() < 4 {
-        return work(pairs);
-    }
-    let chunk_size = pairs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let work = &work;
-                scope.spawn(move || work(chunk))
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("campaign worker panicked")).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1359,7 +1161,7 @@ mod tests {
     }
 
     /// A network whose availability timeline has many epochs, so the
-    /// epoch-batched runners actually exercise run boundaries.
+    /// executors actually cross routing-epoch boundaries.
     fn dynamic_network(seed: u64) -> Network {
         let topo = Arc::new(build_topology(&TopologyParams::tiny(seed)));
         let dynamics = Arc::new(Dynamics::generate(
@@ -1383,6 +1185,65 @@ mod tests {
             CongestionModel::none(),
             NetworkParams { loss_prob: 0.0, spike_prob: 0.0, ..NetworkParams::default() },
         )
+    }
+
+    /// The plain fault-free traceroute baseline: a sequential time-outer
+    /// loop with no fault plane, independent of every executor.
+    fn traceroute_with_impl<A>(
+        net: &Network,
+        pairs: &[(ClusterId, ClusterId)],
+        cfg: &CampaignConfig,
+        opts_of: impl Fn(SimTime, Protocol) -> TraceOptions,
+        init: impl Fn(ClusterId, ClusterId, Protocol) -> A,
+        step: impl Fn(&mut A, TracerouteRecord),
+    ) -> Vec<A> {
+        let init = &init;
+        let mut accs: Vec<A> = pairs
+            .iter()
+            .flat_map(|&(s, d)| cfg.protocols.iter().map(move |&p| init(s, d, p)))
+            .collect();
+        for t in cfg.times() {
+            for (pi, &(src, dst)) in pairs.iter().enumerate() {
+                for (qi, &proto) in cfg.protocols.iter().enumerate() {
+                    let rec = trace(net, src, dst, proto, t, opts_of(t, proto));
+                    step(&mut accs[pi * cfg.protocols.len() + qi], rec);
+                }
+            }
+        }
+        accs
+    }
+
+    /// The plain fault-free ping baseline: a sequential time-outer loop
+    /// building dense timelines, independent of every executor.
+    fn ping_impl(
+        net: &Network,
+        pairs: &[(ClusterId, ClusterId)],
+        cfg: &CampaignConfig,
+    ) -> Vec<PingTimeline> {
+        let mut out: Vec<PingTimeline> = pairs
+            .iter()
+            .flat_map(|&(src, dst)| {
+                cfg.protocols.iter().map(move |&proto| PingTimeline {
+                    src,
+                    dst,
+                    proto,
+                    start: cfg.start,
+                    interval: cfg.interval,
+                    rtts: Vec::new(),
+                })
+            })
+            .collect();
+        for (ti, t) in cfg.times().into_iter().enumerate() {
+            for (pi, &(src, dst)) in pairs.iter().enumerate() {
+                for (qi, &proto) in cfg.protocols.iter().enumerate() {
+                    let rtt = net.ping(src, dst, proto, t, ti as u64);
+                    out[pi * cfg.protocols.len() + qi]
+                        .rtts
+                        .push(rtt.map(|r| r as f32).unwrap_or(f32::NAN));
+                }
+            }
+        }
+        out
     }
 
     #[test]
@@ -1797,41 +1658,12 @@ mod tests {
         }
     }
 
-    // -- epoch batching ----------------------------------------------------
-
-    #[test]
-    fn epoch_runs_are_contiguous_single_epoch_and_capped() {
-        let net = dynamic_network(42);
-        let dyns = net.oracle().dynamics();
-        let times: Vec<SimTime> =
-            sample_times(SimTime::T0, SimTime::from_days(10), SimDuration::from_hours(2))
-                .collect();
-        for cap in [usize::MAX, 5, 2, 1] {
-            let runs = epoch_runs(&net, &times, cap);
-            // Runs tile 0..times.len() in order, without gaps or overlap.
-            let mut next = 0;
-            for r in &runs {
-                assert_eq!(r.start, next, "runs must be contiguous");
-                assert!(r.end > r.start, "runs must be non-empty");
-                assert!(r.len() <= cap, "cap {cap} exceeded by {r:?}");
-                let e0 = dyns.epoch_of(times[r.start]);
-                for ti in r.clone() {
-                    assert_eq!(dyns.epoch_of(times[ti]), e0, "run crosses an epoch boundary");
-                }
-                next = r.end;
-            }
-            assert_eq!(next, times.len(), "runs must cover every sample");
-        }
-        // With breakpoints inside the horizon, an uncapped grouping still
-        // produces more than one run.
-        assert!(epoch_runs(&net, &times, usize::MAX).len() > 1);
-        assert!(epoch_runs(&net, &[], usize::MAX).is_empty());
-    }
+    // -- the chunked sweep against the reference -------------------------
 
     #[test]
     fn batched_parallel_matches_sequential_reference_byte_identical() {
-        // The tentpole invariant: epoch-batched, dst-sorted, multi-threaded
-        // execution serializes to exactly the bytes of the plain sequential
+        // The executor invariant: the chunked, multi-threaded instant sweep
+        // serializes to exactly the bytes of the plain sequential
         // time-outer runner, for several worlds and thread counts.
         for seed in [7u64, 21, 42] {
             let net = dynamic_network(seed);
@@ -1865,8 +1697,8 @@ mod tests {
 
     #[test]
     fn faulty_batched_matches_faulty_reference() {
-        // Fault decisions key on the sample index, so epoch batching must
-        // not move any slot's fault outcome — dataset and report both match
+        // Fault decisions key on the sample index, so chunking the pairs
+        // must not move any slot's fault outcome — dataset and report both match
         // for every fault profile shape the S2S_FAULT_* knobs can express.
         let net = dynamic_network(42);
         let pairs = full_mesh_pairs(5);
@@ -1902,7 +1734,7 @@ mod tests {
                 .unwrap();
             assert_eq!(accs, ref_accs, "faulty batched runner diverged from reference");
             assert_eq!(report, ref_report);
-            // The report's coverage identities survive batching + faults.
+            // The report's coverage identities survive chunking + faults.
             assert_eq!(
                 report.offered,
                 report.delivered + report.truncated + report.gave_up + report.agent_down_slots

@@ -3,15 +3,14 @@
 //! Every knob the measurement plane reads resolves here, through the
 //! shared warn-and-default parsers in [`s2s_types::env`]: an unset knob
 //! silently takes its default, a malformed one (`S2S_THREADS=abc`,
-//! `S2S_EPOCH_BATCH=0`) prints one warning to stderr and takes the
-//! default. `reproduce --print-config` dumps the resolved values.
+//! `S2S_SNAPSHOT_BLOCK=0`) prints one warning to stderr and takes the
+//! default. `reproduce print-config` dumps the resolved values.
 //!
 //! ## Knob table
 //!
 //! | Variable | Default | Meaning |
 //! |---|---|---|
 //! | `S2S_THREADS` | available parallelism | Campaign worker + columnar analysis shard threads (≥ 1) |
-//! | `S2S_EPOCH_BATCH` | unlimited | Max sample instants per epoch run (≥ 1) |
 //! | `S2S_FAULT_SEED` | `0x5EED` | Fault-decision seed |
 //! | `S2S_FAULT_CRASH` | `0` | Per-(agent, epoch) crash-start probability |
 //! | `S2S_FAULT_CRASH_LEN` | `4` | Mean crash downtime, epochs (≥ 1) |
@@ -35,7 +34,7 @@
 //! | `S2S_SNAPSHOT_BLOCK` | `4096` | Traces per snapshot `BLOCK` segment (≥ 1, the unit of loss) |
 //! | `S2S_SNAPSHOT_BUDGET` | `4096` | Traces per streamed-read batch (≥ 1, the reader's reuse-buffer cap) |
 //! | `S2S_SNAPSHOT_DIR` | unset | Fabric merge also writes per-shard snapshots here |
-//! | `S2S_SNAPSHOT_PATH` | unset | Default for `reproduce --snapshot` |
+//! | `S2S_SNAPSHOT_PATH` | unset | Default for `reproduce run --snapshot` |
 //! | `S2S_SERVICE_CADENCE_MS` | `0` | Wall-clock sleep between service epochs (0 = free-run) |
 //! | `S2S_SERVICE_SNAP_EVERY` | `8` | Service checkpoint cadence, epochs (≥ 1) |
 //! | `S2S_SERVICE_QUERY_BUDGET` | `4096` | Queries a service run answers before refusing (≥ 1) |
@@ -46,7 +45,7 @@
 //! (`S2S_SERVICE_CADENCE_MS`, `S2S_SERVICE_SNAP_EVERY`,
 //! `S2S_SERVICE_QUERY_BUDGET`) resolve in `s2s-bench` (their defaults are
 //! experiment/service policy, not measurement-plane policy) — through the
-//! same shared parsers, and they appear in the same `--print-config` dump.
+//! same shared parsers, and they appear in the same `print-config` dump.
 //!
 //! Typos are caught, not ignored: [`resolved_knobs`] scans the process
 //! environment for `S2S_*` names outside the recognized set and prints
@@ -64,25 +63,6 @@ use s2s_types::env as tenv;
 pub fn threads() -> usize {
     let fallback = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     tenv::var_usize_at_least("S2S_THREADS", fallback, 1)
-}
-
-/// Maximum sample instants batched per epoch run: the `S2S_EPOCH_BATCH`
-/// knob when set to a valid integer ≥ 1; unset means unlimited (one run
-/// per availability epoch).
-pub fn epoch_batch_cap() -> usize {
-    let raw = tenv::var_raw("S2S_EPOCH_BATCH");
-    let (v, warning) = tenv::parse_checked_desc(
-        "S2S_EPOCH_BATCH",
-        raw.as_deref(),
-        usize::MAX,
-        "unlimited",
-        |&v| v >= 1,
-        "an integer >= 1",
-    );
-    if let Some(w) = warning {
-        eprintln!("{w}");
-    }
-    v
 }
 
 /// The fault profile from the `S2S_FAULT_*` knobs — an alias for
@@ -124,7 +104,7 @@ pub fn fabric_hb_interval() -> std::time::Duration {
 }
 
 /// Default worker-process count for `reproduce`: the `S2S_FABRIC_WORKERS`
-/// knob, default 1 (run in-process, no fabric). `reproduce --workers`
+/// knob, default 1 (run in-process, no fabric). `reproduce run --workers`
 /// overrides it.
 pub fn fabric_workers() -> usize {
     tenv::var_usize_at_least("S2S_FABRIC_WORKERS", 1, 1)
@@ -164,7 +144,7 @@ pub fn snapshot_dir() -> Option<std::path::PathBuf> {
     tenv::var_raw("S2S_SNAPSHOT_DIR").map(std::path::PathBuf::from)
 }
 
-/// Default snapshot path for `reproduce --snapshot`: the
+/// Default snapshot path for `reproduce run --snapshot`: the
 /// `S2S_SNAPSHOT_PATH` knob; unset means no snapshot unless the flag is
 /// given.
 pub fn snapshot_path() -> Option<std::path::PathBuf> {
@@ -178,7 +158,6 @@ pub fn snapshot_path() -> Option<std::path::PathBuf> {
 pub const KNOWN_KNOBS: &[&str] = &[
     // Measurement plane.
     "S2S_THREADS",
-    "S2S_EPOCH_BATCH",
     "S2S_FAULT_SEED",
     "S2S_FAULT_CRASH",
     "S2S_FAULT_CRASH_LEN",
@@ -249,14 +228,14 @@ pub fn warn_unknown_knobs() {
         if !unknown.is_empty() {
             eprintln!(
                 "warning: unrecognized S2S_* variable(s): {} — not a knob any layer \
-                 reads (typo?); see `reproduce --print-config` for the knob table",
+                 reads (typo?); see `reproduce print-config` for the knob table",
                 unknown.join(", ")
             );
         }
     });
 }
 
-/// One knob's resolved state, for `--print-config` style dumps.
+/// One knob's resolved state, for `print-config` style dumps.
 #[derive(Clone, Debug)]
 pub struct ResolvedKnob {
     /// Environment variable name.
@@ -289,21 +268,12 @@ pub fn resolved_knobs() -> Vec<ResolvedKnob> {
     let fp = fabric_fault_profile();
     let fabric_cfg = crate::fabric::FabricConfig::from_env(1);
     let fabric_dft = crate::fabric::FabricConfig::default();
-    let cap = epoch_batch_cap();
-    let cap_str =
-        if cap == usize::MAX { "unlimited".to_string() } else { cap.to_string() };
     vec![
         ResolvedKnob::new(
             "S2S_THREADS",
             threads().to_string(),
             "available parallelism".to_string(),
             "campaign worker + analysis shard threads",
-        ),
-        ResolvedKnob::new(
-            "S2S_EPOCH_BATCH",
-            cap_str,
-            "unlimited".to_string(),
-            "max sample instants per epoch run",
         ),
         ResolvedKnob::new(
             "S2S_FAULT_SEED",
@@ -451,7 +421,7 @@ pub fn resolved_knobs() -> Vec<ResolvedKnob> {
                 .map(|p| p.display().to_string())
                 .unwrap_or_else(|| "unset".to_string()),
             "unset".to_string(),
-            "default for reproduce --snapshot",
+            "default for reproduce run --snapshot",
         ),
     ]
 }
@@ -482,28 +452,6 @@ mod tests {
     // constraint each knob uses.
 
     #[test]
-    fn epoch_batch_core_maps_unset_and_garbage_to_unlimited() {
-        let parse = |raw: Option<&str>| {
-            s2s_types::env::parse_checked_desc(
-                "S2S_EPOCH_BATCH",
-                raw,
-                usize::MAX,
-                "unlimited",
-                |&v| v >= 1,
-                "an integer >= 1",
-            )
-        };
-        assert_eq!(parse(None), (usize::MAX, None));
-        assert_eq!(parse(Some("8")).0, 8);
-        let (v, w) = parse(Some("0"));
-        assert_eq!(v, usize::MAX);
-        assert!(w.unwrap().contains("using default unlimited"));
-        let (v, w) = parse(Some("abc"));
-        assert_eq!(v, usize::MAX);
-        assert!(w.is_some());
-    }
-
-    #[test]
     fn threads_core_rejects_zero() {
         let (v, w) = s2s_types::env::parse_checked(
             "S2S_THREADS",
@@ -522,7 +470,6 @@ mod tests {
         let names: Vec<&str> = knobs.iter().map(|k| k.name).collect();
         for expect in [
             "S2S_THREADS",
-            "S2S_EPOCH_BATCH",
             "S2S_FAULT_SEED",
             "S2S_FAULT_CRASH",
             "S2S_FAULT_CRASH_LEN",
@@ -551,7 +498,7 @@ mod tests {
             assert!(names.contains(&expect), "missing {expect}");
         }
         let table = format_knob_table(&knobs);
-        assert!(table.contains("S2S_EPOCH_BATCH"));
+        assert!(table.contains("S2S_THREADS"));
         assert!(table.lines().count() >= knobs.len());
     }
 
@@ -571,7 +518,7 @@ mod tests {
 
     #[test]
     fn every_resolved_knob_is_in_the_known_list() {
-        // `--print-config` and the typo detector must agree, or a
+        // `print-config` and the typo detector must agree, or a
         // documented knob would warn about itself.
         for k in resolved_knobs() {
             assert!(

@@ -22,8 +22,8 @@
 //!   retry, failure accounting ([`CampaignReport`]), and checkpoint/resume
 //!   — every campaign enters through [`Campaign`]; the old free
 //!   `run_*_campaign*` shims are gone,
-//! * [`mod@env`] — the consolidated `S2S_*` knob table (threads, epoch
-//!   batching, fault profile) with warn-and-default parsing,
+//! * [`mod@env`] — the consolidated `S2S_*` knob table (threads, fault
+//!   profile, sketch shape) with warn-and-default parsing,
 //! * [`faults`] — seeded, content-keyed fault injection (agent crashes,
 //!   dropped/stuck/truncated probes, archive corruption) with an all-zero
 //!   default profile,

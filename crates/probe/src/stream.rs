@@ -13,9 +13,9 @@
 //!   streamed filled-series PSD) that `s2s-core`'s streamed congestion
 //!   classification consumes,
 //! * [`TimelineSink`] → [`PingTimeline`] — the materializing sink; what
-//!   [`Campaign::run_ping`](crate::Campaign::run_ping) folds through when
-//!   a checkpoint is set, making ping campaigns resumable like traceroute
-//!   ones.
+//!   [`Campaign::run_ping`](crate::Campaign::run_ping) folds through, in
+//!   memory or checkpointed (which makes ping campaigns resumable like
+//!   traceroute ones).
 //!
 //! Sink state is single-writer: the campaign partitions pairs across
 //! workers and every (pair, protocol) state sees only its own samples, in
@@ -46,6 +46,10 @@ pub trait StreamSink: Sync {
 
     /// Creates the accumulator for one (pair, protocol) series.
     fn init(&self, src: ClusterId, dst: ClusterId, proto: Protocol) -> Self::State;
+
+    /// The (src, dst, protocol) series a state belongs to — what
+    /// checkpoint replay checks each loaded state against its slot with.
+    fn series(&self, state: &Self::State) -> (ClusterId, ClusterId, Protocol);
 
     /// Folds one scheduled slot: `seq` is the global sample index, `t` the
     /// nominal instant, `rtt_ms` the delivered RTT (`None` for a lost
@@ -323,6 +327,10 @@ impl StreamSink for PairProfileSink {
         }
     }
 
+    fn series(&self, st: &PairProfile) -> (ClusterId, ClusterId, Protocol) {
+        (st.src, st.dst, st.proto)
+    }
+
     fn fold(&self, st: &mut PairProfile, _seq: u64, t: SimTime, rtt_ms: Option<f64>) {
         st.offered += 1;
         st.spectrum.fold(rtt_ms);
@@ -353,11 +361,10 @@ impl StreamSink for PairProfileSink {
 // ---------------------------------------------------------------------------
 
 /// The materializing sink: folds every slot into a dense [`PingTimeline`]
-/// (lost slots as `NaN`), exactly what the in-memory ping runner builds.
+/// (lost slots as `NaN`).
 ///
-/// Exists so ping campaigns can checkpoint/resume through the sink path —
-/// [`Campaign::run_ping`](crate::Campaign::run_ping) with `.checkpoint()`
-/// folds through this sink. Its `save` format keeps the raw f32 bits
+/// [`Campaign::run_ping`](crate::Campaign::run_ping) folds through this
+/// sink, in memory or checkpointed. Its `save` format keeps the raw f32 bits
 /// (`K|src|dst|proto|start|interval|hex;hex;…`), unlike the human-readable
 /// dataset line format which rounds; checkpoint resume must be
 /// bit-identical.
@@ -387,6 +394,10 @@ impl StreamSink for TimelineSink {
             interval: self.interval,
             rtts: Vec::with_capacity(self.expected_len),
         }
+    }
+
+    fn series(&self, st: &PingTimeline) -> (ClusterId, ClusterId, Protocol) {
+        (st.src, st.dst, st.proto)
     }
 
     fn fold(&self, st: &mut PingTimeline, _seq: u64, _t: SimTime, rtt_ms: Option<f64>) {
